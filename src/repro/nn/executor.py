@@ -25,11 +25,14 @@ precision policy.  This module makes that seam explicit:
       per-layer closures — no per-token attribute chains or memo lookups;
     * caches causal ragged masks keyed ``(new_len, total_len)`` and skips
       the mask entirely for single-token rows (see note below);
+    * packs each ragged step: the per-position ops (embed, norms, the six
+      linears, KV quantize, residuals) run on a ``(T, d)`` matrix of the
+      ``T = sum(new_lens)`` real tokens only, never on pad lanes, and
+      attention runs per row on that row's slice of it;
     * batches the quantize-on-write KV path — one vectorized quantize per
       layer per step instead of one per row — and hands pre-quantized
       slices to the caches through their ``append_raw`` fast path;
-    * reuses a preallocated context workspace across layers and a logits
-      output buffer across steps on the ragged path.
+    * reuses a logits output buffer across steps on the ragged path.
 
 Bit-exactness notes
 -------------------
@@ -40,19 +43,32 @@ arithmetic, never a re-association:
   ``det_matmul`` (quantized weights come from the same ``ops.weight`` memo),
   so einsum sees identical memory-layout classes and picks identical
   accumulation loops.
-* KV quantization is elementwise, so quantizing the whole ``(batch, heads,
-  max_new, head_dim)`` tensor once and appending per-row slices writes the
-  same bytes as quantizing each row separately.  The ``append_raw`` gate
-  falls back to plain ``append`` (which re-quantizes) when a cache does not
-  expose the fast path; quantize is idempotent, so the fallback is bit-safe.
+* KV quantization is elementwise, so quantizing a step's packed K/V once
+  and appending per-row slices writes the same bytes as quantizing each row
+  separately.  The ``append_raw`` gate falls back to plain ``append`` (which
+  re-quantizes) when a cache does not expose the fast path; quantize is
+  idempotent, so the fallback is bit-safe.
 * Single-token rows skip the mask add: ``causal_mask_offset(1, total)`` is
   all zeros, and adding ``+0.0`` can only flip ``-0.0`` to ``+0.0``.  The
   only consumer is ``det_softmax``, where ``exp(±0.0) == 1.0`` bitwise, so
   the skip cannot change a downstream byte.
-* The context workspace is allocated per ``(batch, max_new)`` shape, exactly
-  mirroring the reference ``np.zeros_like(q)`` layout (a transposed view of
-  a C-contiguous buffer); stale pad lanes are never read because pad lanes
-  never enter attention and every other op is per-position.
+* Packed layout: row ``r``'s real tokens occupy lanes ``[starts[r],
+  starts[r + 1])`` of the C-contiguous ``(T, d)`` hidden matrix, at
+  positions ``past_r .. past_r + n_r - 1``.  A lane's bytes do not depend
+  on ``T`` or on its neighbours: ``det_matmul`` is a non-optimized einsum,
+  so every output element is an independent dot product whose summation
+  order depends only on the contraction length and the per-row layout,
+  which a packed row and a padded row share (both are contiguous rows of
+  a C-contiguous stack); norms reduce along the last axis only, and embed,
+  quantize and the residuals are elementwise.  Attention gets each row's
+  lanes as the ``(1, heads, n, head_dim)`` view a single-row forward sees
+  and writes its context into a packed ``(T, heads, head_dim)`` workspace
+  (the reference's transposed C-contiguous context layout, with one row
+  of ``T`` lanes).
+* Pad lanes are never computed.  The logits of each row's trailing ``k``
+  slots are gathered from the packed lanes; a slot left of the row's first
+  real token (pad output, unspecified by ``forward_ragged``) repeats that
+  first real lane.
 
 Because the logits buffer is reused, the array returned by the compiled
 ``forward_ragged`` is only valid until the next ``forward_ragged`` call on
@@ -283,7 +299,6 @@ class CompiledExecutor:
         self.model = model
         self._plan: _Plan | None = None
         self._masks: dict[tuple[int, int], np.ndarray] = {}
-        self._ctx_bufs: dict[tuple[int, int], np.ndarray] = {}
         self._logit_bufs: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- plan lifecycle ----------------------------------------------------
@@ -299,7 +314,6 @@ class CompiledExecutor:
         if plan is None or plan.version != model._plan_version:
             plan = self._plan = _Plan(model)
             self._masks.clear()
-            self._ctx_bufs.clear()
             self._logit_bufs.clear()
         return plan
 
@@ -312,20 +326,6 @@ class CompiledExecutor:
             mask = causal_mask_offset(new_len, total_len)
             self._masks[key] = mask
         return mask
-
-    def _context(self, plan: _Plan, batch: int, max_new: int) -> np.ndarray:
-        """A ``(batch, heads, max_new, head_dim)`` workspace laid out exactly
-        like the reference ``np.zeros_like(q)`` (transposed C-contiguous)."""
-        key = (batch, max_new)
-        buf = self._ctx_bufs.get(key)
-        if buf is None:
-            if len(self._ctx_bufs) >= self._BUFFER_CACHE_LIMIT:
-                self._ctx_bufs.clear()
-            buf = np.empty(
-                (batch, max_new, plan.num_heads, plan.head_dim), dtype=np.float64
-            )
-            self._ctx_bufs[key] = buf
-        return buf.transpose(0, 2, 1, 3)
 
     def _logits_out(self, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._logit_bufs.get(shape)
@@ -373,8 +373,8 @@ class CompiledExecutor:
         hidden = plan.embed(token_ids, positions)
         views = cache.layers
         raw_ok = self._accepts_raw(views[:1], plan.kv_fmt)
-        for lp, kv in zip(plan.layers, views):
-            hidden = self._block_cached(plan, lp, hidden, kv, raw_ok)
+        for i, (lp, kv) in enumerate(zip(plan.layers, views)):
+            hidden = self._block_cached(plan, i, lp, hidden, kv, raw_ok)
         hidden = plan.final_norm(hidden)
         if last_only:
             hidden = hidden[:, -1:, :]
@@ -386,11 +386,41 @@ class CompiledExecutor:
 
     def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
         plan = self._ensure_plan()
+        ids, positions, starts, tail = self._pack_ragged(
+            plan, token_ids, caches, new_lens, last_only, last_k
+        )
+        hidden = plan.embed(ids, positions)
+        raw_ok = self._accepts_raw(
+            [cache.layers[0] for cache in caches], plan.kv_fmt
+        )
+        for i, lp in enumerate(plan.layers):
+            views = [cache.layers[i] for cache in caches]
+            hidden = self._block_ragged(plan, i, lp, hidden, views, starts, raw_ok)
+        hidden = plan.final_norm(hidden[tail])
+        if plan.out_proj_into is not None:
+            out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
+            return plan.out_proj_into(hidden, out)
+        return plan.out_proj(hidden)
+
+    @staticmethod
+    def _pack_ragged(plan, token_ids, caches, new_lens, last_only, last_k):
+        """Validate a left-padded ragged step and pack its real lanes.
+
+        Returns ``(ids, positions, starts, tail)``: the ``T = sum(new_lens)``
+        real token ids and absolute positions in row order, the row offsets
+        ``starts`` (row ``r`` owns packed lanes ``[starts[r], starts[r+1])``)
+        and the ``(batch, k)`` packed index of each row's trailing ``k``
+        output slots (``k = last_k``, or ``max_new`` without ``last_only``).
+        Slots left of a row's first real token are pad output; they are
+        clamped to that first real lane.
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
+        if token_ids.ndim != 2:
+            raise ValueError(f"token_ids must be 2-D, got shape {token_ids.shape}")
         batch, max_new = token_ids.shape
         if token_ids.min() < 0 or token_ids.max() >= plan.vocab_size:
             raise ValueError("token ids out of range for vocabulary")
-        lens = [int(n) for n in new_lens]
+        lens = np.array([int(n) for n in new_lens], dtype=np.int64)
         if len(lens) != batch or len(caches) != batch:
             raise ValueError("token_ids, caches and new_lens must agree on batch")
         if last_k < 1 or last_k > max_new:
@@ -408,37 +438,37 @@ class CompiledExecutor:
                 )
             pasts[r] = past
 
-        offsets = np.arange(max_new)[None, :] - (
-            max_new - np.asarray(lens, dtype=np.int64)
-        )[:, None]
-        positions = np.maximum(pasts[:, None] + offsets, 0)
-        hidden = plan.embed(token_ids, positions)
-
-        raw_ok = self._accepts_raw(
-            [cache.layers[0] for cache in caches], plan.kv_fmt
+        # Lane j of row r is real from j = max_new - n on; it sits at
+        # absolute position past + (j - (max_new - n)).
+        offsets = np.arange(max_new)[None, :] - (max_new - lens)[:, None]
+        real = offsets >= 0
+        positions = (pasts[:, None] + offsets)[real]
+        starts = np.zeros(batch + 1, dtype=np.int64)
+        np.cumsum(lens, out=starts[1:])
+        k = last_k if last_only else max_new
+        tail = starts[:-1, None] + np.maximum(
+            np.arange(k)[None, :] + (lens - k)[:, None], 0
         )
-        ctx = self._context(plan, batch, max_new)
-        for i, lp in enumerate(plan.layers):
-            views = [cache.layers[i] for cache in caches]
-            hidden = self._block_ragged(
-                plan, lp, hidden, views, lens, batch, max_new, ctx, raw_ok
-            )
-        hidden = plan.final_norm(hidden)
-        if last_only:
-            hidden = hidden[:, -last_k:, :]
-        if plan.out_proj_into is not None:
-            out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
-            return plan.out_proj_into(hidden, out)
-        return plan.out_proj(hidden)
+        return token_ids[real], positions, starts.tolist(), tail
+
+    # -- linear hooks (ShardedExecutor fans these out) ---------------------
+    def _qkv(self, layer, lp, h):
+        return lp.q(h), lp.k(h), lp.v(h)
+
+    def _out(self, layer, lp, merged):
+        return lp.out(merged)
+
+    def _ffn(self, layer, lp, h2):
+        return lp.fc2(np.maximum(lp.fc1(h2), 0.0))
 
     # -- block bodies ------------------------------------------------------
-    def _block_cached(self, plan, lp, x, kv, raw_ok):
+    def _block_cached(self, plan, layer, lp, x, kv, raw_ok):
         batch, seq, _ = x.shape
         heads, head_dim = plan.num_heads, plan.head_dim
-        h = lp.attn_norm(x)
-        q = lp.q(h).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        k_new = lp.k(h).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        v_new = lp.v(h).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        q, k_new, v_new = (
+            t.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+            for t in self._qkv(layer, lp, lp.attn_norm(x))
+        )
         if raw_ok:
             if plan.kv_quant is not None:
                 k_new = plan.kv_quant(k_new)
@@ -451,48 +481,53 @@ class CompiledExecutor:
             scores = scores + self._mask(seq, k_all.shape[2])
         context = plan.ctx_matmul(plan.softmax(scores), v_all)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
-        x = plan.residual(x, lp.out(merged))
-        h2 = lp.ffn_norm(x)
-        return plan.residual(x, lp.fc2(np.maximum(lp.fc1(h2), 0.0)))
+        x = plan.residual(x, self._out(layer, lp, merged))
+        return plan.residual(x, self._ffn(layer, lp, lp.ffn_norm(x)))
 
-    def _block_ragged(self, plan, lp, x, views, lens, batch, max_new, ctx, raw_ok):
+    def _block_ragged(self, plan, layer, lp, x, views, starts, raw_ok):
+        """One block over the packed ``(T, d)`` lanes of a ragged step.
+
+        Every op but attention is per-position and runs on the packed
+        matrix.  Attention runs per row: viewed as ``(1, heads, T,
+        head_dim)``, row ``r``'s lanes ``[starts[r], starts[r+1])`` are the
+        operands a single-row cached forward sees.
+        """
+        total = x.shape[0]
         heads, head_dim = plan.num_heads, plan.head_dim
-        h = lp.attn_norm(x)
-        q = lp.q(h).reshape(batch, max_new, heads, head_dim).transpose(0, 2, 1, 3)
-        k_new = lp.k(h).reshape(batch, max_new, heads, head_dim).transpose(0, 2, 1, 3)
-        v_new = lp.v(h).reshape(batch, max_new, heads, head_dim).transpose(0, 2, 1, 3)
+        q, k_new, v_new = (
+            t.reshape(1, total, heads, head_dim).transpose(0, 2, 1, 3)
+            for t in self._qkv(layer, lp, lp.attn_norm(x))
+        )
         if raw_ok and plan.kv_quant is not None:
             # One vectorized quantize per layer per step; per-row slices of
             # an elementwise quantize are bit-identical to per-row quantizes.
-            k_w = plan.kv_quant(k_new)
-            v_w = plan.kv_quant(v_new)
-        else:
-            k_w, v_w = k_new, v_new
+            k_new = plan.kv_quant(k_new)
+            v_new = plan.kv_quant(v_new)
         attn_scores, softmax, ctx_matmul = (
             plan.attn_scores,
             plan.softmax,
             plan.ctx_matmul,
         )
         scale = plan.scale
+        ctx = np.empty((1, total, heads, head_dim), dtype=np.float64)
+        ctx_heads = ctx.transpose(0, 2, 1, 3)
         for r, view in enumerate(views):
-            n = lens[r]
-            pad = max_new - n
+            lo, hi = starts[r], starts[r + 1]
             if raw_ok:
                 k_all, v_all = view.append_raw(
-                    k_w[r : r + 1, :, pad:], v_w[r : r + 1, :, pad:]
+                    k_new[:, :, lo:hi], v_new[:, :, lo:hi]
                 )
             else:
-                k_all, v_all = view.append(
-                    k_w[r : r + 1, :, pad:], v_w[r : r + 1, :, pad:]
-                )
-            scores = attn_scores(q[r : r + 1, :, pad:], k_all.transpose(0, 1, 3, 2), scale)
-            if n > 1:
-                scores = scores + self._mask(n, k_all.shape[2])
-            ctx[r : r + 1, :, pad:] = ctx_matmul(softmax(scores), v_all)
-        merged = ctx.transpose(0, 2, 1, 3).reshape(batch, max_new, heads * head_dim)
-        x = plan.residual(x, lp.out(merged))
-        h2 = lp.ffn_norm(x)
-        return plan.residual(x, lp.fc2(np.maximum(lp.fc1(h2), 0.0)))
+                k_all, v_all = view.append(k_new[:, :, lo:hi], v_new[:, :, lo:hi])
+            scores = attn_scores(
+                q[:, :, lo:hi], k_all.transpose(0, 1, 3, 2), scale
+            )
+            if hi - lo > 1:
+                scores = scores + self._mask(hi - lo, k_all.shape[2])
+            ctx_heads[:, :, lo:hi] = ctx_matmul(softmax(scores), v_all)
+        merged = ctx.reshape(total, heads * head_dim)
+        x = plan.residual(x, self._out(layer, lp, merged))
+        return plan.residual(x, self._ffn(layer, lp, lp.ffn_norm(x)))
 
 
 EXECUTORS = {

@@ -327,7 +327,9 @@ class TestOneTokenDefault:
         spec = ServeEngine(
             make_model(), decode_strategy="prompt-lookup", timer=fixed_timer
         ).serve(requests)
-        base = ServeEngine(make_model()).serve(requests)
+        # A fresh deterministic clock of its own: on the wall clock the
+        # baseline's step count would depend on host load.
+        base = ServeEngine(make_model(), timer=type(fixed_timer)()).serve(requests)
         for request in requests:
             np.testing.assert_array_equal(
                 spec.by_id(request.request_id).tokens,

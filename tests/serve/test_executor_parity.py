@@ -6,8 +6,9 @@ precision preset (fp64-ref through bf16-fp8kv) and on every serving path
 preempt-then-rerun, and prompt-lookup speculation — an engine on the
 ``compiled`` backend serves **exactly** the token streams the
 ``reference`` backend serves.  The compiled plan pre-resolves each
-layer's op sequence, batches the quantize-on-write KV path, and reuses
-mask/context/logit buffers; none of that may move a single bit.
+layer's op sequence, packs a ragged step's real positions, batches the
+quantize-on-write KV path, and reuses mask/logit buffers; none of that may
+move a single bit.
 """
 
 import numpy as np
@@ -157,6 +158,76 @@ class TestSchedulingPaths:
             timer=fixed_timer,
         )
         assert comp_report.metrics["preempted_count"] >= 1
+
+
+PREFILL_CHUNK = np.array([7, 3, 9, 1, 4, 1, 5, 9, 2, 6, 5, 3])
+DECODE_HISTORIES = ([2, 7, 1, 8, 2], [1, 4, 1, 4, 2, 1, 3, 5, 6], [3, 3, 8])
+
+
+def decode_caches(model):
+    """Fresh single-sequence caches holding each decode row's history."""
+    caches = []
+    for history in DECODE_HISTORIES:
+        cache = model.new_kv_cache()
+        model.forward_with_cache(np.array([history]), cache)
+        caches.append(cache)
+    return caches
+
+
+def mixed_step(model):
+    """One long prefill chunk beside three decode rows: the left-padded
+    ``(token_ids, caches, new_lens)`` of a continuous-batching step."""
+    width = PREFILL_CHUNK.size
+    token_ids = np.zeros((1 + len(DECODE_HISTORIES), width), dtype=np.int64)
+    token_ids[0] = PREFILL_CHUNK
+    for r, history in enumerate(DECODE_HISTORIES, start=1):
+        token_ids[r, -1] = history[-1] + 1
+    new_lens = [width] + [1] * len(DECODE_HISTORIES)
+    return token_ids, [model.new_kv_cache()] + decode_caches(model), new_lens
+
+
+class TestPackedRaggedStep:
+    """The compiled ragged forward computes real positions only, and a
+    row's logits do not depend on what it is batched beside."""
+
+    @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
+    def test_every_linear_sees_only_real_positions(self, policy):
+        model = make_model(policy)
+        executor = CompiledExecutor(model)
+        plan = executor._ensure_plan()
+        rows = []
+
+        def counted(linear):
+            def run(x):
+                rows.append(int(np.prod(x.shape[:-1])))
+                return linear(x)
+
+            return run
+
+        for lp in plan.layers:
+            for name in ("q", "k", "v", "out", "fc1", "fc2"):
+                setattr(lp, name, counted(getattr(lp, name)))
+        token_ids, caches, new_lens = mixed_step(model)
+        executor.forward_ragged(token_ids, caches, new_lens)
+        assert len(rows) == 6 * len(plan.layers)
+        assert rows == [sum(new_lens)] * len(rows)  # not batch * max_new
+
+    @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
+    def test_decode_rows_independent_of_batch(self, policy):
+        model = make_model(policy)
+        token_ids, caches, new_lens = mixed_step(model)
+        reference = ReferenceExecutor(model).forward_ragged(
+            token_ids, caches, new_lens
+        )
+        executor = CompiledExecutor(model)
+        token_ids, caches, new_lens = mixed_step(model)
+        mixed = np.array(executor.forward_ragged(token_ids, caches, new_lens))
+        np.testing.assert_array_equal(mixed, reference)
+        for r, cache in enumerate(decode_caches(model), start=1):
+            alone = executor.forward_ragged(token_ids[r : r + 1, -1:], [cache], [1])
+            np.testing.assert_array_equal(
+                mixed[r], alone[0], err_msg=f"decode row {r} moved with its batch"
+            )
 
 
 class TestGeneratePath:

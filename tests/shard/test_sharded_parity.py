@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.nn.config import get_config
+from repro.nn.executor import resolve_executor
 from repro.nn.generation import generate
 from repro.nn.model import OPTLanguageModel
 from repro.serve import Request, ServeEngine, generate_workload
@@ -171,3 +172,61 @@ class TestGeneratePath:
             backend="sharded:3:sim",
         )
         np.testing.assert_array_equal(sharded, ref)
+
+
+class TestFanoutCoverage:
+    """Every linear of every layer, and the logits, go through the shards.
+
+    Parity alone cannot catch a sharded executor that silently runs the
+    unsharded closures: the bytes would be identical.  Counting the
+    fan-outs can.
+    """
+
+    @staticmethod
+    def count_fanouts(executor):
+        calls = []
+        fanout = executor._fanout
+
+        def counted(phase, layer, payloads):
+            calls.append((phase, layer, payloads[0].shape))
+            return fanout(phase, layer, payloads)
+
+        executor._fanout = counted
+        return calls
+
+    @pytest.mark.parametrize("spec", ["sharded:2:sim", "pipeline:2:sim"])
+    def test_ragged_forward_fans_out_every_linear(self, spec):
+        model = make_model()
+        executor = resolve_executor(spec, model)
+        calls = self.count_fanouts(executor)
+        token_ids = np.zeros((3, 6), dtype=np.int64)
+        token_ids[0] = [5, 1, 4, 1, 5, 9]
+        token_ids[1, -2:] = [2, 6]
+        token_ids[2, -1] = 3
+        new_lens = [6, 2, 1]
+        caches = [model.new_kv_cache() for _ in new_lens]
+        executor.forward_ragged(token_ids, caches, new_lens)
+        executor.close()
+        layers = range(len(model.blocks))
+        for phase in ("qkv", "out", "ffn"):
+            seen = [(layer, shape) for p, layer, shape in calls if p == phase]
+            assert {layer for layer, _ in seen} == set(layers), phase
+            # Microbatches split the packed lanes, never pad them.
+            for layer in layers:
+                rows = sum(s[0] for lyr, s in seen if lyr == layer)
+                assert rows == sum(new_lens), (phase, layer)
+        assert any(p == "logits" for p, _, _ in calls)
+
+    @pytest.mark.parametrize("spec", ["sharded:2:sim", "pipeline:2:sim"])
+    def test_cached_forward_fans_out_every_linear(self, spec):
+        model = make_model()
+        executor = resolve_executor(spec, model)
+        calls = self.count_fanouts(executor)
+        executor.forward_with_cache(np.array([[5, 1, 4, 1]]), model.new_kv_cache())
+        executor.close()
+        expected = {
+            (phase, layer)
+            for phase in ("qkv", "out", "ffn")
+            for layer in range(len(model.blocks))
+        } | {("logits", 0)}
+        assert {(p, layer) for p, layer, _ in calls} == expected
