@@ -6,14 +6,13 @@ Two measurements:
   land in ``benchmark.extra_info`` so the pytest-benchmark report shows
   them), and
 * the KV growth comparison that motivated the pooled cache: appending one
-  token at a time into the preallocated-doubling :class:`LayerKVCache` and
-  the block-granular pool, counting (re)allocations, versus the O(n²)-copy
-  ``np.concatenate`` growth the seed implementation used.
+  token at a time into the block-granular pool, counting block
+  allocations, versus the O(n²)-copy ``np.concatenate`` growth the seed
+  implementation used.
 """
 
 import numpy as np
 
-from repro.nn.kv_cache import LayerKVCache
 from repro.serve.bench import run_scenario
 from repro.serve.kv_pool import BlockKVPool
 
@@ -45,31 +44,27 @@ def _concatenate_growth(tokens: int, shape) -> int:
     return copies
 
 
-def _pooled_growth(tokens: int, shape) -> tuple[int, int]:
-    """Amortized growth: (LayerKVCache reallocs, pool block allocations)."""
-    kv = LayerKVCache()
+def _pooled_growth(tokens: int, shape) -> int:
+    """Amortized growth: pool block allocations."""
     pool = BlockKVPool(num_layers=1, num_heads=shape[1], head_dim=shape[3],
                        block_size=16, initial_blocks=4)
     seq = pool.sequence()
     chunk = np.zeros(shape)
     for _ in range(tokens):
-        kv.append(chunk, chunk.copy())
         seq.layers[0].append(chunk, chunk.copy())
-    return kv.realloc_count, pool.blocks_allocated
+    return pool.blocks_allocated
 
 
 def test_kv_growth_is_amortized_not_quadratic(benchmark):
-    """Decoding n tokens allocates O(log n) buffers / O(n / block) blocks,
-    not the n reallocate-and-copy events of concatenate growth."""
+    """Decoding n tokens allocates O(n / block) blocks, not the n
+    reallocate-and-copy events of concatenate growth."""
     tokens = 256
     shape = (1, 2, 1, 16)
-    reallocs, block_allocs = benchmark.pedantic(
+    block_allocs = benchmark.pedantic(
         _pooled_growth, args=(tokens, shape), rounds=1, iterations=1
     )
     concat_copies = _concatenate_growth(tokens, shape)
     benchmark.extra_info["concatenate_copies"] = concat_copies
-    benchmark.extra_info["layerkv_reallocs"] = reallocs
     benchmark.extra_info["pool_block_allocs"] = block_allocs
     assert concat_copies == tokens
-    assert reallocs <= int(np.ceil(np.log2(tokens))) + 1
     assert block_allocs == tokens // 16

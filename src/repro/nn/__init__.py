@@ -21,7 +21,8 @@ same experiment end to end in NumPy:
 * :mod:`~repro.nn.optimizer` / :mod:`~repro.nn.trainer` — Adam/SGD and a
   small training loop so the evaluation runs on a *trained* model rather
   than random weights.
-* :mod:`~repro.nn.generation` — greedy / top-k sampling for the examples.
+* :mod:`~repro.nn.generation` — greedy / top-k sampling for the examples,
+  KV-cached on a private :class:`~repro.serve.kv_pool.BlockKVPool`.
 * :mod:`~repro.nn.executor` — pluggable execution backends (``reference``
   and the pre-fused ``compiled`` plan); byte-identical tokens, faster
   dispatch.
@@ -42,13 +43,10 @@ from repro.nn.block import TransformerDecoderBlock
 from repro.nn.optimizer import Adam, SGD
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.nn.generation import generate, generate_batch
-from repro.nn.kv_cache import KVCache, LayerKVCache
 
 __all__ = [
     "EXECUTORS",
     "CompiledExecutor",
-    "KVCache",
-    "LayerKVCache",
     "ModelExecutor",
     "ReferenceExecutor",
     "generate_batch",

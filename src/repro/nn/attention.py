@@ -9,7 +9,6 @@ from repro.nn.functional import (
     causal_mask_offset,
     softmax_backward,
 )
-from repro.nn.kv_cache import LayerKVCache
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.precision.ops import PASSTHROUGH_OPS
@@ -101,36 +100,6 @@ class MultiHeadSelfAttention(Module):
         }
         return out
 
-    def forward_cached(self, x: np.ndarray, kv: LayerKVCache) -> np.ndarray:
-        """Inference-only forward that appends to and attends over ``kv``.
-
-        ``x`` holds only the *new* token positions ``(batch, new_seq, d)``;
-        keys/values of earlier positions come from the cache.  Runs entirely
-        through :func:`~repro.nn.functional.det_matmul`, so the output for a
-        token is bit-identical whether it is decoded incrementally or as
-        part of a full-prefix prefill.  Dropout is skipped (eval-time path)
-        and nothing is cached for backward.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[-1] != self.embed_dim:
-            raise ValueError(
-                f"expected input of shape (batch, seq, {self.embed_dim}), got {x.shape}"
-            )
-        _, s, _ = x.shape
-        ops = self.ops
-        q = self._split_heads(self.q_proj.forward_det(x))
-        k_new = self._split_heads(self.k_proj.forward_det(x))
-        v_new = self._split_heads(self.v_proj.forward_det(x))
-        k_all, v_all = kv.append(k_new, v_new)
-        total = k_all.shape[2]
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = ops.attn_scores_det(q, k_all.transpose(0, 1, 3, 2), scale)
-        scores = scores + causal_mask_offset(s, total)
-        weights = ops.det_softmax(scores, axis=-1)
-        context = ops.matmul_det(weights, v_all)
-        return self.out_proj.forward_det(self._merge_heads(context))
-
     def forward_ragged(
         self, x: np.ndarray, kvs, new_lens: np.ndarray
     ) -> np.ndarray:
@@ -138,11 +107,11 @@ class MultiHeadSelfAttention(Module):
 
         ``x`` is ``(batch, max_new, d)`` with each row's ``new_lens[r]``
         real tokens right-aligned (leading positions are pad lanes).
-        ``kvs`` is a sequence of per-row single-sequence caches — anything
-        with the :meth:`~repro.nn.kv_cache.LayerKVCache.append` protocol
-        returning ``(k_all, v_all)`` of shape ``(1, heads, total, head_dim)``
-        (a :class:`~repro.nn.kv_cache.LayerKVCache` or a pooled layer view
-        from :mod:`repro.serve.kv_pool`).
+        ``kvs`` holds one per-row layer view of a pooled
+        :class:`~repro.serve.kv_pool.SequenceKV`, whose ``append`` stores
+        the new K/V and returns ``(k_all, v_all)`` of shape
+        ``(1, heads, total, head_dim)``.  Dropout is skipped (eval-time
+        path) and nothing is cached for backward.
 
         The Q/K/V/O projections run batched over the padded matrix — safe,
         because :func:`~repro.nn.functional.det_matmul` makes every output
@@ -153,9 +122,9 @@ class MultiHeadSelfAttention(Module):
         the semantics), each row's scores/softmax/context are computed over
         exactly that row's keys.  Slicing the pads off keeps the softmax
         denominator and context accumulation orders identical to the
-        unpadded computation, so a row's output is bit-identical to
-        :meth:`forward_cached` on that row alone — the guarantee the
-        continuous-batching server's exactness tests pin down.
+        unpadded computation, so a row's output is bit-identical to this
+        method on that row alone — the guarantee the continuous-batching
+        server's exactness tests pin down.
 
         Pad lanes of the output carry garbage (never NaN) and must be
         ignored by the caller; every downstream op is per-token, so they

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.functional import relu, relu_backward
-from repro.nn.kv_cache import LayerKVCache
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module
 from repro.precision.ops import PASSTHROUGH_OPS
@@ -88,29 +87,17 @@ class TransformerDecoderBlock(Module):
         ffn_out = self.ffn(self.ffn_norm(x))
         return ops.residual(x, ffn_out)
 
-    def forward_cached(self, x: np.ndarray, kv: LayerKVCache) -> np.ndarray:
-        """Inference-only forward over the new positions in ``x`` using ``kv``.
-
-        The layer norms see only the new rows (normalization is per token),
-        attention appends to / reads from the cache, and the FFN runs through
-        the deterministic matmul path so results match a full re-prefill
-        bit-for-bit.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        attn_out = self.attention.forward_cached(self.attn_norm(x), kv)
-        x = self.ops.residual(x, attn_out)
-        ffn_out = self.ffn.forward_det(self.ffn_norm(x))
-        return self.ops.residual(x, ffn_out)
-
     def forward_ragged(self, x: np.ndarray, kvs, new_lens) -> np.ndarray:
-        """Ragged-batch counterpart of :meth:`forward_cached`.
+        """Inference-only forward over a ragged batch of new positions.
 
         ``x`` is a left-padded ``(batch, max_new, d)`` matrix, ``kvs`` one
         per-row single-sequence layer cache, ``new_lens`` the per-row count
         of real (right-aligned) tokens.  Norms, FFN, and residuals are
         per-token, so they run batched over the padded matrix; only the
-        attention kernel consults the pad structure.  Real lanes are
-        bit-identical to :meth:`forward_cached` on the row alone.
+        attention kernel consults the pad structure.  Everything runs
+        through the deterministic matmul path, so real lanes are
+        bit-identical to running the row alone, and to prefilling the same
+        positions in one chunk.
         """
         x = np.asarray(x, dtype=np.float64)
         attn_out = self.attention.forward_ragged(self.attn_norm(x), kvs, new_lens)

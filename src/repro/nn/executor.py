@@ -6,13 +6,17 @@ implementation in :class:`~repro.nn.model.OPTLanguageModel` under every
 precision policy.  This module makes that seam explicit:
 
 ``ModelExecutor``
-    The protocol: ``forward`` (dense BLAS path), ``forward_with_cache``,
-    ``verify_forward`` and ``forward_ragged``, mirroring the model methods
-    one-to-one.
+    The protocol: ``forward`` (dense BLAS path) and ``forward_ragged`` (the
+    one cached inference forward, over per-row
+    :class:`~repro.serve.kv_pool.SequenceKV` caches), mirroring the model
+    methods one-to-one.
 
 ``ReferenceExecutor``
-    Delegates every call verbatim to the model.  This *is* the historical
-    behaviour; engines constructed without a backend use it.
+    Delegates every call verbatim to the model.  Its module-by-module
+    ``forward_ragged`` is independent code from the compiled plan, which
+    makes it the exactness oracle the compiled, sharded and pipelined
+    backends are checked against; engines constructed without a backend
+    use it.
 
 ``CompiledExecutor``
     Pre-resolves the whole per-token op sequence into a flat plan of bound
@@ -45,9 +49,9 @@ arithmetic, never a re-association:
   accumulation loops.
 * KV quantization is elementwise, so quantizing a step's packed K/V once
   and appending per-row slices writes the same bytes as quantizing each row
-  separately.  The ``append_raw`` gate falls back to plain ``append`` (which
-  re-quantizes) when a cache does not expose the fast path; quantize is
-  idempotent, so the fallback is bit-safe.
+  separately.  When a pool stores a different KV format than the plan's
+  policy, the step falls back to plain ``append`` (which quantizes to the
+  pool's format), so the stored bytes are always the pool's own.
 * Single-token rows skip the mask add: ``causal_mask_offset(1, total)`` is
   all zeros, and adding ``+0.0`` can only flip ``-0.0`` to ``+0.0``.  The
   only consumer is ``det_softmax``, where ``exp(±0.0) == 1.0`` bitwise, so
@@ -83,8 +87,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.nn.functional import causal_mask_offset, det_matmul, det_softmax
-from repro.nn.kv_cache import resolve_kv_format
 from repro.fpformats.quantize import quantize
+from repro.precision.policy import resolve_kv_format
 
 __all__ = [
     "EXECUTORS",
@@ -95,8 +99,6 @@ __all__ = [
     "validate_backend",
 ]
 
-_NO_FMT = object()  # sentinel so ``kv_fmt`` absence never equals a real format
-
 
 @runtime_checkable
 class ModelExecutor(Protocol):
@@ -105,12 +107,6 @@ class ModelExecutor(Protocol):
     name: str
 
     def forward(self, token_ids: np.ndarray) -> np.ndarray: ...
-
-    def forward_with_cache(
-        self, token_ids: np.ndarray, cache, last_only: bool = False
-    ) -> np.ndarray: ...
-
-    def verify_forward(self, token_ids: np.ndarray, cache) -> np.ndarray: ...
 
     def forward_ragged(
         self,
@@ -132,12 +128,6 @@ class ReferenceExecutor:
 
     def forward(self, token_ids):
         return self.model(token_ids)
-
-    def forward_with_cache(self, token_ids, cache, last_only=False):
-        return self.model.forward_with_cache(token_ids, cache, last_only=last_only)
-
-    def verify_forward(self, token_ids, cache):
-        return self.model.verify_forward(token_ids, cache)
 
     def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
         return self.model.forward_ragged(
@@ -338,51 +328,15 @@ class CompiledExecutor:
 
     @staticmethod
     def _accepts_raw(views, fmt) -> bool:
-        """True when every cache exposes the pre-quantized append fast path
-        for exactly the plan's KV format."""
-        for view in views:
-            if getattr(view, "kv_fmt", _NO_FMT) != fmt or not hasattr(
-                view, "append_raw"
-            ):
-                return False
-        return True
+        """True when every cache stores K/V in exactly the plan's format, so
+        the step's pre-quantized bytes can be appended as they are."""
+        return all(view.kv_fmt == fmt for view in views)
 
     # -- forwards ----------------------------------------------------------
     def forward(self, token_ids):
         # The dense BLAS training/slide path is already vectorized; it is
         # shared verbatim so both backends stay bit-identical on it.
         return self.model(token_ids)
-
-    def forward_with_cache(self, token_ids, cache, last_only=False):
-        plan = self._ensure_plan()
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 2:
-            raise ValueError(f"token_ids must be 2-D, got shape {token_ids.shape}")
-        batch, seq = token_ids.shape
-        if seq == 0:
-            raise ValueError("token_ids must contain at least one new token")
-        if token_ids.min() < 0 or token_ids.max() >= plan.vocab_size:
-            raise ValueError("token ids out of range for vocabulary")
-        past = cache.seq_len
-        if past + seq > plan.max_position:
-            raise ValueError(
-                f"sequence length {past + seq} exceeds max_position "
-                f"{plan.max_position}"
-            )
-        positions = np.broadcast_to(np.arange(past, past + seq), (batch, seq))
-        hidden = plan.embed(token_ids, positions)
-        views = cache.layers
-        raw_ok = self._accepts_raw(views[:1], plan.kv_fmt)
-        for i, (lp, kv) in enumerate(zip(plan.layers, views)):
-            hidden = self._block_cached(plan, i, lp, hidden, kv, raw_ok)
-        hidden = plan.final_norm(hidden)
-        if last_only:
-            hidden = hidden[:, -1:, :]
-        return plan.out_proj(hidden)
-
-    def verify_forward(self, token_ids, cache):
-        logits = self.forward_with_cache(token_ids, cache, last_only=False)
-        return np.argmax(logits, axis=-1)
 
     def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
         plan = self._ensure_plan()
@@ -462,35 +416,13 @@ class CompiledExecutor:
         return lp.fc2(np.maximum(lp.fc1(h2), 0.0))
 
     # -- block bodies ------------------------------------------------------
-    def _block_cached(self, plan, layer, lp, x, kv, raw_ok):
-        batch, seq, _ = x.shape
-        heads, head_dim = plan.num_heads, plan.head_dim
-        q, k_new, v_new = (
-            t.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-            for t in self._qkv(layer, lp, lp.attn_norm(x))
-        )
-        if raw_ok:
-            if plan.kv_quant is not None:
-                k_new = plan.kv_quant(k_new)
-                v_new = plan.kv_quant(v_new)
-            k_all, v_all = kv.append_raw(k_new, v_new)
-        else:
-            k_all, v_all = kv.append(k_new, v_new)
-        scores = plan.attn_scores(q, k_all.transpose(0, 1, 3, 2), plan.scale)
-        if seq > 1:
-            scores = scores + self._mask(seq, k_all.shape[2])
-        context = plan.ctx_matmul(plan.softmax(scores), v_all)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
-        x = plan.residual(x, self._out(layer, lp, merged))
-        return plan.residual(x, self._ffn(layer, lp, lp.ffn_norm(x)))
-
     def _block_ragged(self, plan, layer, lp, x, views, starts, raw_ok):
         """One block over the packed ``(T, d)`` lanes of a ragged step.
 
         Every op but attention is per-position and runs on the packed
         matrix.  Attention runs per row: viewed as ``(1, heads, T,
         head_dim)``, row ``r``'s lanes ``[starts[r], starts[r+1])`` are the
-        operands a single-row cached forward sees.
+        operands a one-row ``forward_ragged`` sees.
         """
         total = x.shape[0]
         heads, head_dim = plan.num_heads, plan.head_dim

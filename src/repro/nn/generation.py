@@ -1,23 +1,24 @@
 """Autoregressive text generation helpers (greedy and top-k sampling).
 
-Two decoding paths are provided:
-
-* the **KV-cached path** (default): prompt tokens are prefilled once and
-  every subsequent step projects only the newly generated token, reusing
-  the per-layer key/value activations stored in a
-  :class:`~repro.nn.kv_cache.KVCache` — O(1) projection work per token;
-* the **uncached path** (``use_cache=False``): the full prefix is re-run
-  through the model on every step, as the original implementation did.
+Decoding is KV-cached: prompt tokens are prefilled once and every later
+step projects only the newly generated token, attending over the keys and
+values already stored.  The cache is the serving stack's own: each call
+runs the executor's ``forward_ragged`` over
+:class:`~repro.serve.kv_pool.SequenceKV` rows of a private
+:class:`~repro.serve.kv_pool.BlockKVPool`, sized up front to the request
+(rows times the longest context) so it never grows, and every row's blocks
+are released as soon as the row is done.
 
 :func:`generate_batch` decodes several equal-length prompts together,
-sharing one batched forward pass (and one KV cache) per step.  Both
-functions accept ``stop_tokens``: a sequence that produces one stops
-immediately (the stop token is kept in the output) and — in the batched
-case — stops consuming forward passes while the other rows continue.
+sharing one batched forward pass per step.  Both functions accept
+``stop_tokens``: a sequence that produces one stops immediately (the stop
+token is kept in the output) and — in the batched case — stops consuming
+forward passes while the other rows continue.
 
 For serving *ragged* prompts arriving over time, see :mod:`repro.serve`,
-which schedules requests into a continuously batched decode loop while
-preserving these functions' greedy token streams bit-for-bit.
+which schedules requests into a continuously batched decode loop on the
+same forward and cache, preserving these functions' token streams
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -45,6 +46,27 @@ def _stop_set(stop_tokens) -> frozenset[int]:
     if np.isscalar(stop_tokens):
         return frozenset((int(stop_tokens),))
     return frozenset(int(t) for t in stop_tokens)
+
+
+def _private_pool(model: OPTLanguageModel, rows: int, max_tokens: int):
+    """A pool holding ``rows`` sequences of up to ``max_tokens`` positions
+    (capped at ``max_position``), so one generation run never grows it."""
+    # Imported here: repro.serve's engine imports this module.
+    from repro.serve.kv_pool import BlockKVPool
+
+    block_size = 16
+    per_row = -(-min(max_tokens, model.config.max_position) // block_size)
+    return BlockKVPool.for_model(
+        model, block_size=block_size, initial_blocks=rows * per_row
+    )
+
+
+def _prefill(executor, pool, windows: np.ndarray):
+    """Fresh pool sequences holding the K/V of each row of ``windows``;
+    returns them and each row's last-position logits."""
+    kvs = [pool.sequence() for _ in range(windows.shape[0])]
+    logits = executor.forward_ragged(windows, kvs, [windows.shape[1]] * len(kvs))
+    return kvs, logits[:, -1]
 
 
 def select_token(
@@ -76,7 +98,6 @@ def generate(
     temperature: float = 1.0,
     top_k: int | None = None,
     rng: np.random.Generator | None = None,
-    use_cache: bool = True,
     stop_tokens=None,
     backend: str | None = None,
 ) -> np.ndarray:
@@ -96,19 +117,6 @@ def generate(
         When set, sample only from the ``top_k`` most likely tokens.
     rng:
         Random generator for sampling (greedy decoding ignores it).
-    use_cache:
-        Reuse per-layer key/value activations between steps (default).
-        ``False`` re-runs the full prefix each step.  Both paths apply the
-        same sliding-window semantics once the context exceeds
-        ``max_position`` — at which point the cached path falls back to the
-        plain full-window forward, since a slid window would force a full
-        re-prefill per step anyway.  The two paths use different matmul
-        kernels (deterministic einsum vs BLAS), whose results can differ in
-        the last ulp; a near-exact tie between the top two logits can
-        therefore resolve differently between them.  The cached path's
-        exactness guarantee is *within itself*: incremental decoding is
-        bit-identical to re-prefilling the same prefix through
-        :meth:`~repro.nn.model.OPTLanguageModel.forward_with_cache`.
     stop_tokens:
         Optional token id, or iterable of ids, that end generation early.
         A produced stop token is kept as the final output token and no
@@ -116,6 +124,14 @@ def generate(
     backend:
         Execution backend (:data:`~repro.nn.executor.EXECUTORS` name or
         instance; ``None`` = reference).  Backends never change a token.
+
+    Once the context exceeds ``max_position`` the window slides, and the
+    remaining steps run the plain full-window forward, since a slid window
+    would force a full re-prefill per step anyway.  That dense forward uses
+    BLAS rather than the deterministic einsum of the cached path, so the
+    two can differ in the last ulp; the cached path's exactness guarantee
+    is *within itself*: incremental decoding is bit-identical to
+    re-prefilling the same prefix through ``forward_ragged``.
 
     Returns
     -------
@@ -135,37 +151,25 @@ def generate(
         return np.asarray(tokens, dtype=np.int64)
 
     max_pos = model.config.max_position
-    if not use_cache:
-        for _ in range(max_new_tokens):
-            context = np.asarray(tokens[-max_pos:], dtype=np.int64)[None, :]
-            logits = executor.forward(context)[0, -1]
-            tokens.append(select_token(logits, temperature, top_k, rng))
-            if tokens[-1] in stops:
-                break
-        return np.asarray(tokens, dtype=np.int64)
-
-    cache = model.new_kv_cache()
-    context = np.asarray(tokens[-max_pos:], dtype=np.int64)[None, :]
-    logits = executor.forward_with_cache(context, cache, last_only=True)[0, -1]
-    produced = 0
-    while produced < max_new_tokens:
-        tokens.append(select_token(logits, temperature, top_k, rng))
-        produced += 1
-        if tokens[-1] in stops or produced == max_new_tokens:
-            return np.asarray(tokens, dtype=np.int64)
-        if cache.seq_len >= max_pos:
-            break  # window slid past max_position: the cache can't help anymore
-        new = np.asarray([[tokens[-1]]], dtype=np.int64)
-        logits = executor.forward_with_cache(new, cache, last_only=True)[0, -1]
+    target = len(tokens) + max_new_tokens
+    pool = _private_pool(model, 1, target)
+    (kv,), logits = _prefill(executor, pool, np.asarray([tokens[-max_pos:]]))
+    while True:
+        tokens.append(select_token(logits[0], temperature, top_k, rng))
+        done = tokens[-1] in stops or len(tokens) == target
+        if done or kv.seq_len >= max_pos:
+            break
+        new = np.asarray([tokens[-1:]], dtype=np.int64)
+        logits = executor.forward_ragged(new, [kv], [1])[:, -1]
+    kv.release()
     # Sliding-window tail: once the context exceeds max_position every step
     # needs a full-window forward regardless, so run the remaining steps
-    # through the fast BLAS path (identical to use_cache=False).
-    for _ in range(max_new_tokens - produced):
+    # through the fast BLAS path.
+    while not done:
         context = np.asarray(tokens[-max_pos:], dtype=np.int64)[None, :]
         logits = executor.forward(context)[0, -1]
         tokens.append(select_token(logits, temperature, top_k, rng))
-        if tokens[-1] in stops:
-            break
+        done = tokens[-1] in stops or len(tokens) == target
     return np.asarray(tokens, dtype=np.int64)
 
 
@@ -192,8 +196,8 @@ def generate_batch(
     the rest of the batch contains (the test suite asserts this).
 
     Unlike :func:`generate`, the batched decoder stays on the deterministic
-    matmul path even after the context window slides (rebuilding the cache
-    from the trailing window each step): under greedy decoding
+    matmul path even after the context window slides (re-prefilling fresh
+    pool sequences from the trailing window each step): under greedy decoding
     (``temperature=0``) every row is bit-identical to running this function
     on that prompt alone, at some cost on very long outputs.
 
@@ -206,7 +210,8 @@ def generate_batch(
         The stop token is kept in the row's output; the row's remaining
         positions are filled with ``pad_token_id`` and the row stops
         consuming forward passes (finished rows are compacted out of the
-        batch, shrinking the per-step cost as sequences retire).
+        batch and their pool blocks released, shrinking the per-step cost
+        as sequences retire).
     pad_token_id:
         Filler for positions after a row's stop token (default 0).
     backend:
@@ -238,12 +243,14 @@ def generate_batch(
         (batch, prompts.shape[1] + max_new_tokens), pad_token_id, dtype=np.int64
     )
     out[:, : prompts.shape[1]] = prompts
+    if batch == 0:
+        return out  # an empty pool cannot be built, and nothing decodes
     lengths = np.full(batch, prompts.shape[1])  # tokens filled per row
     active = np.arange(batch)  # original row index per live cache row
 
     sequences = prompts.copy()  # rows of `active`, in cache-row order
-    cache = model.new_kv_cache()
-    logits = executor.forward_with_cache(sequences[:, -max_pos:], cache, last_only=True)[:, -1]
+    pool = _private_pool(model, batch, out.shape[1])
+    kvs, logits = _prefill(executor, pool, sequences[:, -max_pos:])
     for step in range(max_new_tokens):
         next_tokens = np.asarray(
             [
@@ -260,15 +267,22 @@ def generate_batch(
         if stops:
             keep = np.asarray([t not in stops for t in next_tokens])
             if not np.all(keep):
+                for kv, kept in zip(kvs, keep):
+                    if not kept:
+                        kv.release()
+                kvs = [kv for kv, kept in zip(kvs, keep) if kept]
                 active = active[keep]
                 if active.size == 0:
                     break
                 sequences = sequences[keep]
                 next_tokens = next_tokens[keep]
-                cache.select_rows(keep)
-        if cache.seq_len >= max_pos:
-            cache = model.new_kv_cache()
-            logits = executor.forward_with_cache(sequences[:, -max_pos:], cache, last_only=True)[:, -1]
+        if kvs[0].seq_len >= max_pos:
+            for kv in kvs:
+                kv.release()
+            kvs, logits = _prefill(executor, pool, sequences[:, -max_pos:])
         else:
-            logits = executor.forward_with_cache(next_tokens[:, None], cache, last_only=True)[:, -1]
+            new_lens = [1] * len(kvs)
+            logits = executor.forward_ragged(next_tokens[:, None], kvs, new_lens)[:, -1]
+    for kv in kvs:
+        kv.release()
     return out

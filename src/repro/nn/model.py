@@ -27,7 +27,6 @@ from repro.baselines.registry import get_normalizer
 from repro.nn.block import TransformerDecoderBlock
 from repro.nn.config import OPTConfig
 from repro.nn.functional import cross_entropy
-from repro.nn.kv_cache import KVCache
 from repro.nn.layers import Dropout, Embedding, LayerNorm
 from repro.nn.module import Module
 from repro.precision.ops import PASSTHROUGH_OPS, make_ops
@@ -122,83 +121,6 @@ class OPTLanguageModel(Module):
         self._cache_token_ids = token_ids
         return ops.linear(hidden, self.token_embedding.weight.data.T, None)
 
-    def new_kv_cache(self) -> KVCache:
-        """An empty KV cache sized for this model's decoder stack."""
-        return KVCache.for_model(self)
-
-    def forward_with_cache(
-        self, token_ids: np.ndarray, cache: KVCache, last_only: bool = False
-    ) -> np.ndarray:
-        """Inference-only forward over the *new* tokens using a KV cache.
-
-        ``token_ids`` holds only the positions not yet in ``cache``; their
-        absolute positions continue from ``cache.seq_len``.  Returns logits
-        of shape ``(batch, new_seq, vocab)`` for the new positions only —
-        or ``(batch, 1, vocab)`` with ``last_only``, which skips the output
-        projection for all but the final position (the decode loops only
-        consume that row, and the vocabulary projection is the most
-        expensive matmul in the model).
-
-        The computation is bit-identical to running :meth:`forward` (in eval
-        mode, through the deterministic matmul path) on the full prefix and
-        slicing out the same positions — the KV-cache regression tests
-        assert this exactly.  Gradients are not tracked; the model must be
-        in eval mode (dropout and the normalizer swap are eval-time
-        behaviours, so a training-mode call would silently diverge).
-        """
-        if self.training:
-            raise RuntimeError(
-                "forward_with_cache requires eval mode; call model.eval() first"
-            )
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 2:
-            raise ValueError(f"token_ids must be (batch, seq), got shape {token_ids.shape}")
-        if len(cache) != len(self.blocks):
-            raise ValueError(
-                f"cache has {len(cache)} layers, model has {len(self.blocks)}"
-            )
-        batch, seq = token_ids.shape
-        past = cache.seq_len
-        if past + seq > self.config.max_position:
-            raise ValueError(
-                f"cache length {past} + new tokens {seq} exceeds max_position "
-                f"{self.config.max_position}"
-            )
-
-        if np.any(token_ids < 0) or np.any(token_ids >= self.config.vocab_size):
-            raise ValueError("token id out of range for the embedding table")
-
-        positions = np.broadcast_to(np.arange(past, past + seq), (batch, seq))
-        hidden = self.ops.embed(
-            self.token_embedding.weight.data,
-            self.position_embedding.weight.data,
-            token_ids,
-            positions,
-        )
-        for block, layer_kv in zip(self.blocks, cache.layers):
-            hidden = block.forward_cached(hidden, layer_kv)
-        hidden = self.final_norm(hidden)
-        if last_only:
-            hidden = hidden[:, -1:, :]
-        return self.ops.linear_det(hidden, self.token_embedding.weight.data.T, None)
-
-    def verify_forward(self, token_ids: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Greedy argmax at every new position — speculative verification.
-
-        Runs ``token_ids`` (the last committed token followed by K draft
-        tokens) through the cached forward in **one** call and returns the
-        per-position greedy token ids, shape ``(batch, seq)``.  Position
-        ``j``'s argmax is computed with the cache holding exactly the
-        tokens preceding ``token_ids[:, j]``, so it equals what a
-        token-by-token greedy decode would have produced there — the
-        chunked==incremental bit-exactness the KV-cache tests pin.  The
-        caller accepts the longest draft prefix matching these ids and
-        rolls the cache back past the rejected tail
-        (:meth:`KVCache.truncate`).
-        """
-        logits = self.forward_with_cache(token_ids, cache, last_only=False)
-        return np.argmax(logits, axis=-1)
-
     def forward_ragged(
         self,
         token_ids: np.ndarray,
@@ -214,20 +136,24 @@ class OPTLanguageModel(Module):
         decoding one token each.  ``token_ids`` is ``(batch, max_new)`` with
         each row's ``new_lens[r]`` real new tokens right-aligned (leading
         positions are pad lanes; their token ids must merely be valid for
-        the embedding table).  ``caches`` holds one *single-sequence* cache
-        per row — anything exposing ``seq_len`` and per-layer ``layers[i]``
-        with the :class:`~repro.nn.kv_cache.LayerKVCache` append protocol
-        (a :class:`~repro.nn.kv_cache.KVCache` created for a batch-of-one,
-        or a pooled :class:`~repro.serve.kv_pool.SequenceKV`).
+        the embedding table).  ``caches`` holds one
+        :class:`~repro.serve.kv_pool.SequenceKV` per row (``seq_len`` plus
+        per-layer ``layers[i].append``); its new K/V is appended there.
+        This is the one cached inference forward: prefill, decode, chunked
+        prefill and speculative verification are all calls of it.
 
         Position embeddings are computed per row (a row's first real token
         continues from its own cache length), per-token ops run batched
         over the padded matrix, and attention applies the pad mask by
         slicing (see :func:`~repro.nn.functional.ragged_attention_mask` for
         the mask semantics).  Each real lane is therefore **bit-identical**
-        to running :meth:`forward_with_cache` on that row alone — the
-        property that makes tokens served from a ragged continuous batch
-        equal to :func:`~repro.nn.generation.generate` on the same prompt.
+        to running this method on that row alone, and prefilling a prompt
+        in one call equals feeding it in chunks — the properties that make
+        tokens served from a ragged continuous batch equal to
+        :func:`~repro.nn.generation.generate` on the same prompt.  The
+        computation runs through the deterministic matmul, so it tracks the
+        dense :meth:`forward` only to float64 rounding, not bit-for-bit.
+        Gradients are not tracked; the model must be in eval mode.
 
         Returns logits for each row's trailing ``last_k`` positions,
         ``(batch, last_k, vocab)``, when ``last_only`` (the decode loops'

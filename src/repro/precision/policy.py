@@ -7,9 +7,9 @@ configuration:
 * ``weight_fmt`` / ``activation_fmt`` / ``accumulation_fmt`` — the emulated
   storage formats of parameters, per-op results, and matmul accumulators
   (see :mod:`repro.fpformats`);
-* ``kv_cache_fmt`` — the format K/V tensors are quantized to *on write*,
-  by both the private :class:`~repro.nn.kv_cache.LayerKVCache` and the
-  pooled :class:`~repro.serve.kv_pool.BlockKVPool`;
+* ``kv_cache_fmt`` — the format K/V tensors are quantized to *on write*
+  by the block-pooled KV cache (:class:`~repro.serve.kv_pool.BlockKVPool`,
+  which backs both offline generation and serving);
 * ``normalizer`` (+ ``normalizer_fmt`` / ``normalizer_kwargs``) — which
   registered normalization method (:mod:`repro.baselines.registry`)
   replaces the trained LayerNorm at evaluation time.  ``None`` keeps the
@@ -34,7 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.fpformats.spec import get_format
+from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
+
+
+def resolve_kv_format(fmt: str | FloatFormat | None) -> FloatFormat | None:
+    """Normalize a KV-cache storage format; ``None``/``fp64`` mean unquantized."""
+    if fmt is None:
+        return None
+    fmt = get_format(fmt)
+    return None if fmt == FLOAT64 else fmt
 
 
 def _canonical_fmt(fmt: str) -> str:

@@ -57,13 +57,12 @@ from repro.serve.kv_pool import (
     SequenceKV,
 )
 from repro.serve.request import CompletedRequest, Request
-from repro.serve.scheduler import ContinuousBatchScheduler, Scheduler, StepPlan
+from repro.serve.scheduler import Scheduler, StepPlan
 from repro.serve.workload import SCENARIOS, Scenario, generate_workload
 
 __all__ = [
     "BlockKVPool",
     "CompletedRequest",
-    "ContinuousBatchScheduler",
     "DecodeStrategy",
     "GreedyOneToken",
     "PoolExhaustedError",

@@ -79,6 +79,7 @@ from repro.engine import Job, ResultCache, run_jobs
 from repro.nn.config import get_config
 from repro.nn.executor import validate_backend
 from repro.nn.model import OPTLanguageModel
+from repro.precision.policy import resolve_kv_format
 from repro.serve.decode import resolve_strategy
 from repro.serve.engine import ServeEngine
 from repro.serve.workload import SCENARIOS, generate_workload
@@ -685,8 +686,6 @@ def validate_tier(
     if tier_fmt is not None and not tiered:
         raise ValueError("--tier-fmt requires --tier-blocks or --tier-ratio")
     if tier_fmt is not None:
-        from repro.nn.kv_cache import resolve_kv_format
-
         try:
             resolve_kv_format(tier_fmt)
         except KeyError as exc:

@@ -1,9 +1,11 @@
 """Pooled, block-granular KV cache with prefix sharing and copy-on-write.
 
-:class:`~repro.nn.kv_cache.LayerKVCache` grows one private buffer per
-sequence; a server juggling hundreds of short-lived requests would allocate
-and abandon such buffers continuously.  :class:`BlockKVPool` instead
-preallocates one shared store of fixed-size *blocks* (each block holds
+This is the repository's one KV cache: the serving engine and the offline
+:func:`~repro.nn.generation.generate` helpers (on a private, request-sized
+pool) both store K/V here.  A private buffer per sequence would have a
+server juggling hundreds of short-lived requests allocate and abandon
+buffers continuously; :class:`BlockKVPool` instead preallocates one
+shared store of fixed-size *blocks* (each block holds
 ``block_size`` token positions of K and V for **all** layers of one
 sequence) and hands blocks out through a free list:
 
@@ -66,10 +68,11 @@ grows by doubling, so a long decode performs O(log n) workspace
 allocations instead of one fresh ``(heads, seq+1, head_dim)`` pair per
 layer per token.  It is always at least one position larger than the
 sequence and handed out as a sliced view, so its memory-layout class
-(strided view) matches what :class:`~repro.nn.kv_cache.LayerKVCache`
-returns — one of the conditions for served tokens being bit-identical to
-single-request :func:`~repro.nn.generation.generate` (see the KV-cache
-notes on layout classes).
+(strided view) is the same whatever the append pattern.  NumPy's einsum
+picks accumulation loops by layout class; keeping the class fixed is one
+of the conditions for incremental decoding being bit-identical to
+one-shot prefill, and so for served tokens being bit-identical to
+single-request :func:`~repro.nn.generation.generate`.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fpformats.quantize import quantize
-from repro.nn.kv_cache import resolve_kv_format
 from repro.precision.ops import requantize_blocks
+from repro.precision.policy import resolve_kv_format
 
 
 class PoolExhaustedError(RuntimeError):
@@ -639,8 +642,9 @@ class BlockKVPool:
         Optional :mod:`repro.fpformats` format name; K/V chunks are
         quantized round-to-nearest-even to it on write (the precision
         policy's ``kv_cache_fmt``).  ``None``/``"fp64"`` stores raw
-        float64.  Matches :class:`~repro.nn.kv_cache.LayerKVCache`, so the
-        pooled and private cache paths stay bit-identical under a policy.
+        float64.  Quantization is elementwise and happens before storage,
+        so incremental decoding and prefill write, and later read back,
+        identical bytes under every policy.
     max_blocks:
         Hard capacity ceiling.  ``None`` (default) grows without bound;
         with a ceiling, exhausted allocation evicts unreferenced prefix
@@ -1008,7 +1012,7 @@ class BlockKVPool:
 
 
 class _LayerView:
-    """Per-(sequence, layer) adapter implementing the LayerKVCache protocol.
+    """Per-(sequence, layer) view: the cache one attention layer sees.
 
     :meth:`append` writes the new tokens into the sequence's pool blocks
     and returns gathered ``(k_all, v_all)`` — exactly what
@@ -1041,10 +1045,9 @@ class _LayerView:
 class SequenceKV:
     """One request's K/V history, stored in (possibly shared) pool blocks.
 
-    Mirrors the :class:`~repro.nn.kv_cache.KVCache` protocol (``seq_len``
-    plus per-layer ``layers[i].append``), so
-    :meth:`~repro.nn.model.OPTLanguageModel.forward_ragged` accepts either
-    interchangeably.
+    Exposes ``seq_len`` plus per-layer ``layers[i].append`` — the cache
+    protocol :meth:`~repro.nn.model.OPTLanguageModel.forward_ragged` and
+    the executors' ragged forwards consume.
     """
 
     def __init__(self, pool: BlockKVPool) -> None:
@@ -1157,9 +1160,9 @@ class SequenceKV:
                 f"{k.shape} and {v.shape}"
             )
         if self.pool.kv_fmt is not None:
-            # Quantize once per chunk, before it is scattered into blocks —
-            # the same elementwise write-side rounding LayerKVCache applies,
-            # keeping pooled and private caches bit-identical per policy.
+            # Quantize once per chunk, before it is scattered into blocks;
+            # the rounding is elementwise, so how a sequence is chunked
+            # never changes its stored bytes.
             k = quantize(k, self.pool.kv_fmt)
             v = quantize(v, self.pool.kv_fmt)
         return self._write_chunk(layer, k, v)
@@ -1253,9 +1256,8 @@ class SequenceKV:
 
         The workspace is kept strictly longer than the sequence and the
         result returned as a ``[:seq]`` slice, so it is always a strided
-        view — the same memory-layout class
-        :class:`~repro.nn.kv_cache.LayerKVCache` produces, keeping einsum's
-        accumulation identical between the pooled and private cache paths.
+        view whatever the append pattern, keeping einsum's accumulation
+        identical between incremental decoding and one-shot prefill.
         The workspace persists across calls (each call rewrites it from
         the blocks, so copy-on-write forks are picked up transparently)
         and doubles on growth, amortizing allocation over a decode.

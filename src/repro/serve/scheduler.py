@@ -35,8 +35,8 @@ a fixed number of *decode slots*.  Every engine step:
    verified-greedy, so the re-run emits byte-identical output.
 
 This extends the Orca-style iteration-level scheduling of the original
-FIFO scheduler; ``ContinuousBatchScheduler`` remains as an alias whose
-defaults (no budget, unbounded pool) reproduce the old behaviour exactly.
+FIFO scheduler, whose behaviour the defaults (no budget, unbounded pool)
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -377,8 +377,3 @@ class Scheduler:
         if state.kv is not None:
             state.kv.release()
             state.kv = None
-
-
-#: Backwards-compatible name: the default-configured Scheduler reproduces
-#: the original FIFO continuous-batching behaviour (no budget, no bound).
-ContinuousBatchScheduler = Scheduler

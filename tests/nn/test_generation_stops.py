@@ -47,14 +47,6 @@ class TestGenerateStopTokens:
                      stop_tokens=())
         np.testing.assert_array_equal(a, b)
 
-    def test_stop_in_uncached_path(self, model):
-        prompt = np.array([1, 2, 3])
-        eos = greedy_token_at(model, prompt, 2)
-        out = generate(model, prompt, max_new_tokens=20, temperature=0.0,
-                       use_cache=False, stop_tokens=(eos,))
-        assert out[-1] == eos
-        assert out.size <= prompt.size + 20
-
     def test_stop_in_sliding_window_tail(self, model):
         """A stop token found after the window slid still exits early."""
         prompt = np.array([1, 2, 3])

@@ -6,6 +6,7 @@ import pytest
 from repro.nn.config import get_config
 from repro.nn.functional import det_softmax, ragged_attention_mask, softmax
 from repro.nn.model import OPTLanguageModel
+from repro.serve.kv_pool import BlockKVPool
 
 
 @pytest.fixture
@@ -13,6 +14,17 @@ def model(rng):
     m = OPTLanguageModel(get_config("opt-test"), rng=rng)
     m.eval()
     return m
+
+
+def new_rows(model, rows=1):
+    """Empty single-sequence caches for ``rows`` rows from one pool."""
+    pool = BlockKVPool.for_model(model)
+    return [pool.sequence() for _ in range(rows)]
+
+
+def run_alone(model, ids, kv):
+    """One row's new tokens through ``forward_ragged``; last-position logits."""
+    return model.forward_ragged(ids[None, :], [kv], [ids.size])
 
 
 class TestRaggedAttentionMask:
@@ -58,14 +70,11 @@ class TestDetSoftmax:
 
 
 class TestForwardRaggedExactness:
-    def test_rows_match_per_row_cached_forward(self, model, rng):
+    def test_rows_match_each_row_run_alone(self, model, rng):
         """Mixed prefill/decode rows are bit-identical to running alone."""
         prompts = [rng.integers(0, 64, size=n) for n in (9, 4, 1, 14)]
-        refs, caches = [], []
-        for p in prompts:
-            cache = model.new_kv_cache()
-            refs.append(model.forward_with_cache(p[None, :], cache, last_only=True))
-            caches.append(model.new_kv_cache())
+        refs = [run_alone(model, p, kv) for p, kv in zip(prompts, new_rows(model, 4))]
+        caches = new_rows(model, len(prompts))
         width = max(p.size for p in prompts)
         tokens = np.zeros((len(prompts), width), dtype=np.int64)
         for r, p in enumerate(prompts):
@@ -77,12 +86,10 @@ class TestForwardRaggedExactness:
 
     def test_decode_steps_stay_exact_after_ragged_prefill(self, model, rng):
         prompts = [rng.integers(0, 64, size=n) for n in (6, 2)]
-        ref_caches = [model.new_kv_cache() for _ in prompts]
-        refs = [
-            model.forward_with_cache(p[None, :], c, last_only=True)
-            for p, c in zip(prompts, ref_caches)
-        ]
-        caches = [model.new_kv_cache() for _ in prompts]
+        ref_caches = new_rows(model, len(prompts))
+        for p, kv in zip(prompts, ref_caches):
+            run_alone(model, p, kv)
+        caches = new_rows(model, len(prompts))
         width = max(p.size for p in prompts)
         tokens = np.zeros((2, width), dtype=np.int64)
         for r, p in enumerate(prompts):
@@ -92,13 +99,11 @@ class TestForwardRaggedExactness:
             nxt = np.argmax(out[:, -1], axis=-1)
             out = model.forward_ragged(nxt[:, None], caches, np.ones(2, dtype=np.int64))
             for r in range(2):
-                ref = model.forward_with_cache(
-                    nxt[r][None, None], ref_caches[r], last_only=True
-                )
+                ref = run_alone(model, nxt[r : r + 1], ref_caches[r])
                 np.testing.assert_array_equal(out[r], ref[0])
 
     def test_full_logits_shape_without_last_only(self, model, rng):
-        caches = [model.new_kv_cache(), model.new_kv_cache()]
+        caches = new_rows(model, 2)
         tokens = rng.integers(0, 64, size=(2, 5))
         out = model.forward_ragged(
             tokens, caches, np.asarray([5, 3]), last_only=False
@@ -109,12 +114,12 @@ class TestForwardRaggedExactness:
         """Slicing pads off == applying the additive -inf mask (semantics)."""
         from repro.nn.attention import MultiHeadSelfAttention
         from repro.nn.functional import det_matmul
-        from repro.nn.kv_cache import LayerKVCache
 
         attn = MultiHeadSelfAttention(16, 2, rng=rng)
         new_lens = np.asarray([5, 2, 1])
         x = rng.normal(size=(3, 5, 16))
-        kvs = [LayerKVCache() for _ in range(3)]
+        pool = BlockKVPool(num_layers=1, num_heads=2, head_dim=8)
+        kvs = [pool.sequence().layers[0] for _ in range(3)]
         out = attn.forward_ragged(x, kvs, new_lens)
 
         # Dense reference: batched projections, additive ragged mask, plain
@@ -136,7 +141,7 @@ class TestForwardRaggedExactness:
             )
 
     def test_validation(self, model, rng):
-        caches = [model.new_kv_cache()]
+        caches = new_rows(model)
         good = np.zeros((1, 3), dtype=np.int64)
         with pytest.raises(ValueError):
             model.forward_ragged(good, caches, np.asarray([0]))
@@ -150,9 +155,9 @@ class TestForwardRaggedExactness:
 
     def test_max_position_overflow_rejected(self, model):
         model.eval()
-        cache = model.new_kv_cache()
+        (cache,) = new_rows(model)
         max_pos = model.config.max_position
-        model.forward_with_cache(np.zeros((1, max_pos), dtype=np.int64), cache)
+        run_alone(model, np.zeros(max_pos, dtype=np.int64), cache)
         with pytest.raises(ValueError):
             model.forward_ragged(
                 np.zeros((1, 1), dtype=np.int64), [cache], np.asarray([1])

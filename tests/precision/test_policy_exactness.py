@@ -20,7 +20,7 @@ from repro.nn.config import get_config
 from repro.nn.generation import generate, generate_batch
 from repro.nn.model import OPTLanguageModel
 from repro.precision.ops import PASSTHROUGH_OPS
-from repro.serve import Request, ServeEngine
+from repro.serve import BlockKVPool, Request, ServeEngine
 
 QUANTIZED_POLICIES = ["fp16", "bf16", "bf16-fp8kv"]
 
@@ -31,6 +31,16 @@ def make_model(policy=None, seed=7):
     )
     model.eval()
     return model
+
+
+def new_row(model):
+    """An empty single-sequence cache from a pool in the model's KV format."""
+    return BlockKVPool.for_model(model).sequence()
+
+
+def prefill(model, ids, kv):
+    """Append one row of new tokens to ``kv``; logits at every position."""
+    return model.forward_ragged(ids, [kv], [ids.shape[1]], last_only=False)
 
 
 @pytest.fixture(params=QUANTIZED_POLICIES)
@@ -80,12 +90,12 @@ class TestQuantizedExactness:
         """Chunked cached decoding is bit-identical to one-shot prefill."""
         model = make_model(policy_name)
         tokens = rng.integers(0, 64, size=(1, 12))
-        full = model.forward_with_cache(tokens, model.new_kv_cache())
-        cache = model.new_kv_cache()
+        full = prefill(model, tokens, new_row(model))
+        kv = new_row(model)
         pieces = [
-            model.forward_with_cache(tokens[:, :5], cache),
-            model.forward_with_cache(tokens[:, 5:6], cache),
-            model.forward_with_cache(tokens[:, 6:], cache),
+            prefill(model, tokens[:, :5], kv),
+            prefill(model, tokens[:, 5:6], kv),
+            prefill(model, tokens[:, 6:], kv),
         ]
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), full)
 
@@ -125,35 +135,30 @@ class TestQuantizedExactness:
 
     def test_logits_are_representable_in_activation_format(self, policy_name, rng):
         model = make_model(policy_name)
-        logits = model.forward_with_cache(
-            rng.integers(0, 64, size=(1, 6)), model.new_kv_cache()
-        )
+        logits = prefill(model, rng.integers(0, 64, size=(1, 6)), new_row(model))
         act = model.policy.activation_fmt
         np.testing.assert_array_equal(np.asarray(quantize(logits, act)), logits)
 
     def test_kv_cache_stores_cache_format(self, policy_name, rng):
         model = make_model(policy_name)
-        cache = model.new_kv_cache()
-        model.forward_with_cache(rng.integers(0, 64, size=(1, 7)), cache)
+        kv = new_row(model)
+        prefill(model, rng.integers(0, 64, size=(1, 7)), kv)
         kv_fmt = model.policy.kv_cache_fmt
-        for layer in cache.layers:
-            np.testing.assert_array_equal(
-                np.asarray(quantize(layer.k, kv_fmt)), layer.k
-            )
-            np.testing.assert_array_equal(
-                np.asarray(quantize(layer.v, kv_fmt)), layer.v
-            )
+        for layer in range(len(kv.layers)):
+            k, v = kv.gather(layer)
+            np.testing.assert_array_equal(np.asarray(quantize(k, kv_fmt)), k)
+            np.testing.assert_array_equal(np.asarray(quantize(v, kv_fmt)), v)
 
     def test_fp8_kv_actually_narrower_than_activations(self, rng):
         """bf16-fp8kv: the cache stores fewer bits than the bf16 policy's."""
         ids = rng.integers(0, 64, size=(1, 8))
         wide = make_model("bf16")
         mixed = make_model("bf16-fp8kv")
-        wide_cache, mixed_cache = wide.new_kv_cache(), mixed.new_kv_cache()
-        wide.forward_with_cache(ids, wide_cache)
-        mixed.forward_with_cache(ids, mixed_cache)
-        k_wide = wide_cache.layers[0].k
-        k_mixed = mixed_cache.layers[0].k
+        wide_kv, mixed_kv = new_row(wide), new_row(mixed)
+        prefill(wide, ids, wide_kv)
+        prefill(mixed, ids, mixed_kv)
+        k_wide, _ = wide_kv.gather(0)
+        k_mixed, _ = mixed_kv.gather(0)
         # Same projections (same seed, same bf16 datapath) — the only
         # difference is the write-side cache rounding.
         np.testing.assert_array_equal(

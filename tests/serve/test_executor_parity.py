@@ -23,7 +23,7 @@ from repro.nn.executor import (
 )
 from repro.nn.generation import generate, generate_batch
 from repro.nn.model import OPTLanguageModel
-from repro.serve import Request, ServeEngine, generate_workload
+from repro.serve import BlockKVPool, Request, ServeEngine, generate_workload
 
 #: Every registered precision preset, weakest to strongest quantization.
 POLICIES = ("fp64-ref", "fp32", "fp16", "bf16", "bf16-fp8kv")
@@ -164,12 +164,12 @@ PREFILL_CHUNK = np.array([7, 3, 9, 1, 4, 1, 5, 9, 2, 6, 5, 3])
 DECODE_HISTORIES = ([2, 7, 1, 8, 2], [1, 4, 1, 4, 2, 1, 3, 5, 6], [3, 3, 8])
 
 
-def decode_caches(model):
-    """Fresh single-sequence caches holding each decode row's history."""
+def decode_caches(model, pool):
+    """Fresh pool sequences holding each decode row's history."""
     caches = []
     for history in DECODE_HISTORIES:
-        cache = model.new_kv_cache()
-        model.forward_with_cache(np.array([history]), cache)
+        cache = pool.sequence()
+        model.forward_ragged(np.array([history]), [cache], [len(history)])
         caches.append(cache)
     return caches
 
@@ -183,7 +183,8 @@ def mixed_step(model):
     for r, history in enumerate(DECODE_HISTORIES, start=1):
         token_ids[r, -1] = history[-1] + 1
     new_lens = [width] + [1] * len(DECODE_HISTORIES)
-    return token_ids, [model.new_kv_cache()] + decode_caches(model), new_lens
+    pool = BlockKVPool.for_model(model)
+    return token_ids, [pool.sequence()] + decode_caches(model, pool), new_lens
 
 
 class TestPackedRaggedStep:
@@ -223,7 +224,8 @@ class TestPackedRaggedStep:
         token_ids, caches, new_lens = mixed_step(model)
         mixed = np.array(executor.forward_ragged(token_ids, caches, new_lens))
         np.testing.assert_array_equal(mixed, reference)
-        for r, cache in enumerate(decode_caches(model), start=1):
+        pool = BlockKVPool.for_model(model)
+        for r, cache in enumerate(decode_caches(model, pool), start=1):
             alone = executor.forward_ragged(token_ids[r : r + 1, -1:], [cache], [1])
             np.testing.assert_array_equal(
                 mixed[r], alone[0], err_msg=f"decode row {r} moved with its batch"
@@ -288,8 +290,9 @@ class TestExecutorContract:
         model = make_model()
         model.train()
         executor = CompiledExecutor(model)
+        kv = BlockKVPool.for_model(model).sequence()
         with pytest.raises(RuntimeError, match="eval"):
-            executor.forward_with_cache(np.array([[1, 2, 3]]), model.new_kv_cache())
+            executor.forward_ragged(np.array([[1, 2, 3]]), [kv], [3])
 
     def test_plan_invalidated_on_policy_change(self):
         """set_policy after a compiled forward must rebuild the plan: the

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.kv_cache import LayerKVCache
 from repro.serve.kv_pool import BlockKVPool
 
 
@@ -60,30 +59,37 @@ class TestAllocation:
 
 
 class TestSequenceKV:
-    def test_append_gather_matches_layer_kv_cache_exactly(self):
-        """The pooled cache is a drop-in for LayerKVCache, bit-for-bit."""
+    def test_append_gather_returns_the_bytes_given(self):
+        """Chunks scattered across blocks read back exactly as appended."""
         rng = np.random.default_rng(0)
         pool = make_pool()
         seq = pool.sequence()
-        ref = LayerKVCache()
+        given_k, given_v = [], []
         for chunk_len in (5, 1, 1, 3, 1):
-            k = rng.normal(size=(1, 2, chunk_len, 4))
-            v = rng.normal(size=(1, 2, chunk_len, 4))
-            k_pool, v_pool = seq.layers[0].append(k, v)
-            k_ref, v_ref = ref.append(k, v)
-            np.testing.assert_array_equal(k_pool, k_ref)
-            np.testing.assert_array_equal(v_pool, v_ref)
-        assert seq.layers[0].seq_len == ref.seq_len == 11
+            given_k.append(rng.normal(size=(1, 2, chunk_len, 4)))
+            given_v.append(rng.normal(size=(1, 2, chunk_len, 4)))
+            k_pool, v_pool = seq.layers[0].append(given_k[-1], given_v[-1])
+            np.testing.assert_array_equal(k_pool, np.concatenate(given_k, axis=2))
+            np.testing.assert_array_equal(v_pool, np.concatenate(given_v, axis=2))
+        assert seq.layers[0].seq_len == 11
 
-    def test_gather_returns_strided_views_like_layer_kv_cache(self):
-        """Same memory-layout class as LayerKVCache views (einsum parity)."""
+    @pytest.mark.parametrize("lengths", [(5,), (4,), (1, 1, 1, 1), (3, 5, 1)])
+    def test_gather_returns_strided_views(self, lengths):
+        """Gathered K/V are always a ``[:seq]`` slice of a longer workspace,
+        never a whole C-contiguous array, whatever the append pattern: the
+        fixed layout class keeps einsum's accumulation identical between
+        incremental decoding and one-shot prefill."""
         pool = make_pool()
         seq = pool.sequence()
-        k = np.zeros((1, 2, 5, 4))
-        k_all, v_all = seq.layers[0].append(k, k.copy())
-        ref = LayerKVCache()
-        k_ref, _ = ref.append(k, k.copy())
-        assert k_all.flags.c_contiguous == k_ref.flags.c_contiguous == False  # noqa: E712
+        for n in lengths:
+            k = np.zeros((1, 2, n, 4))
+            k_all, v_all = seq.layers[0].append(k, k.copy())
+        for view, workspace in ((k_all, seq._ws_k[0]), (v_all, seq._ws_v[0])):
+            assert view.shape == (1, 2, sum(lengths), 4)
+            assert not view.flags.c_contiguous
+            assert view.base is workspace
+            assert workspace.shape[2] > sum(lengths)
+            assert view.strides == workspace.strides
 
     def test_layers_are_independent(self):
         pool = make_pool()
@@ -352,21 +358,6 @@ class TestAppendRaw:
         assert view.kv_fmt is pool.kv_fmt
         assert callable(view.append_raw)
 
-    def test_private_cache_append_raw_matches_append(self):
-        from repro.fpformats.quantize import quantize
-
-        rng = np.random.default_rng(6)
-        via_raw, via_append = LayerKVCache(fmt="fp8_e4m3"), LayerKVCache(fmt="fp8_e4m3")
-        for chunk in (4, 1, 1):
-            k = rng.normal(size=(1, 2, chunk, 4))
-            v = rng.normal(size=(1, 2, chunk, 4))
-            k_raw, v_raw = via_raw.append_raw(
-                quantize(k, via_raw.kv_fmt), quantize(v, via_raw.kv_fmt)
-            )
-            k_ref, v_ref = via_append.append(k, v)
-            np.testing.assert_array_equal(k_raw, k_ref)
-            np.testing.assert_array_equal(v_raw, v_ref)
-
     def test_append_raw_rejects_released_sequence(self):
         pool = make_pool()
         seq = pool.sequence()
@@ -513,15 +504,14 @@ class TestGatherWorkspaceReuse:
         rng = np.random.default_rng(1)
         pool = make_pool()
         seq = pool.sequence()
-        ref = LayerKVCache()
+        given_k, given_v = [], []
         for chunk in (3, 1, 1, 6, 1):
-            k = rng.normal(size=(1, 2, chunk, 4))
-            v = rng.normal(size=(1, 2, chunk, 4))
-            k_pool, v_pool = seq.layers[0].append(k, v)
-            k_ref, v_ref = ref.append(k, v)
+            given_k.append(rng.normal(size=(1, 2, chunk, 4)))
+            given_v.append(rng.normal(size=(1, 2, chunk, 4)))
+            k_pool, v_pool = seq.layers[0].append(given_k[-1], given_v[-1])
             assert not k_pool.flags.c_contiguous
-            np.testing.assert_array_equal(k_pool, k_ref)
-            np.testing.assert_array_equal(v_pool, v_ref)
+            np.testing.assert_array_equal(k_pool, np.concatenate(given_k, axis=2))
+            np.testing.assert_array_equal(v_pool, np.concatenate(given_v, axis=2))
 
     def test_release_drops_workspaces(self):
         pool = make_pool()
@@ -531,25 +521,3 @@ class TestGatherWorkspaceReuse:
         assert seq._ws_k[0] is not None
         seq.release()
         assert seq._ws_k[0] is None
-
-
-class TestLayerKVCacheGrowth:
-    """The private (generate-path) cache also grows amortized now."""
-
-    def test_append_one_token_at_a_time_reallocates_logarithmically(self):
-        kv = LayerKVCache()
-        token = np.zeros((1, 2, 1, 8))
-        for _ in range(200):
-            kv.append(token, token.copy())
-        assert kv.seq_len == 200
-        # 16 -> 32 -> 64 -> 128 -> 256: five allocations, not 200.
-        assert kv.realloc_count <= 5
-
-    def test_views_track_appends(self):
-        kv = LayerKVCache()
-        k1 = np.full((1, 1, 2, 2), 3.0)
-        kv.append(k1, k1.copy())
-        k_all, _ = kv.append(k1 * 2, k1.copy() * 2)
-        assert k_all.shape == (1, 1, 4, 2)
-        np.testing.assert_array_equal(k_all[0, 0, :2], k1[0, 0])
-        np.testing.assert_array_equal(k_all[0, 0, 2:], 2 * k1[0, 0])

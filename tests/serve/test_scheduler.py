@@ -5,7 +5,7 @@ import pytest
 
 from repro.serve.kv_pool import BlockKVPool, PoolExhaustedError
 from repro.serve.request import Request
-from repro.serve.scheduler import ContinuousBatchScheduler, Scheduler
+from repro.serve.scheduler import Scheduler
 
 
 def make_request(rid, arrival=0.0, priority=0, prompt_len=3):
@@ -28,7 +28,7 @@ def make_pool(**kwargs):
 
 @pytest.fixture
 def scheduler():
-    return ContinuousBatchScheduler(make_pool(), max_batch_size=2)
+    return Scheduler(make_pool(), max_batch_size=2)
 
 
 class TestAdmission:
@@ -80,7 +80,7 @@ class TestRetirement:
 
     def test_max_batch_size_validated(self, scheduler):
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(scheduler.pool, max_batch_size=0)
+            Scheduler(scheduler.pool, max_batch_size=0)
 
 
 class TestPriorityAdmission:

@@ -15,7 +15,7 @@ from repro.nn.config import get_config
 from repro.nn.executor import resolve_executor
 from repro.nn.generation import generate
 from repro.nn.model import OPTLanguageModel
-from repro.serve import Request, ServeEngine, generate_workload
+from repro.serve import BlockKVPool, Request, ServeEngine, generate_workload
 
 POLICIES = ("fp64-ref", "bf16-fp8kv")
 
@@ -194,17 +194,23 @@ class TestFanoutCoverage:
         executor._fanout = counted
         return calls
 
+    @pytest.mark.parametrize("batch", ["mixed", "one-row"])
     @pytest.mark.parametrize("spec", ["sharded:2:sim", "pipeline:2:sim"])
-    def test_ragged_forward_fans_out_every_linear(self, spec):
+    def test_ragged_forward_fans_out_every_linear(self, spec, batch):
         model = make_model()
         executor = resolve_executor(spec, model)
         calls = self.count_fanouts(executor)
-        token_ids = np.zeros((3, 6), dtype=np.int64)
-        token_ids[0] = [5, 1, 4, 1, 5, 9]
-        token_ids[1, -2:] = [2, 6]
-        token_ids[2, -1] = 3
-        new_lens = [6, 2, 1]
-        caches = [model.new_kv_cache() for _ in new_lens]
+        if batch == "one-row":
+            token_ids = np.array([[5, 1, 4, 1]])
+            new_lens = [4]
+        else:
+            token_ids = np.zeros((3, 6), dtype=np.int64)
+            token_ids[0] = [5, 1, 4, 1, 5, 9]
+            token_ids[1, -2:] = [2, 6]
+            token_ids[2, -1] = 3
+            new_lens = [6, 2, 1]
+        pool = BlockKVPool.for_model(model)
+        caches = [pool.sequence() for _ in new_lens]
         executor.forward_ragged(token_ids, caches, new_lens)
         executor.close()
         layers = range(len(model.blocks))
@@ -216,17 +222,3 @@ class TestFanoutCoverage:
                 rows = sum(s[0] for lyr, s in seen if lyr == layer)
                 assert rows == sum(new_lens), (phase, layer)
         assert any(p == "logits" for p, _, _ in calls)
-
-    @pytest.mark.parametrize("spec", ["sharded:2:sim", "pipeline:2:sim"])
-    def test_cached_forward_fans_out_every_linear(self, spec):
-        model = make_model()
-        executor = resolve_executor(spec, model)
-        calls = self.count_fanouts(executor)
-        executor.forward_with_cache(np.array([[5, 1, 4, 1]]), model.new_kv_cache())
-        executor.close()
-        expected = {
-            (phase, layer)
-            for phase in ("qkv", "out", "ffn")
-            for layer in range(len(model.blocks))
-        } | {("logits", 0)}
-        assert {(p, layer) for p, layer, _ in calls} == expected
