@@ -246,7 +246,7 @@ def run_sweep(
 ) -> tuple[dict, str]:
     """Run the (policy × normalizer) grid and write ``out_path``.
 
-    Mirrors :func:`repro.serve.bench.run_bench`: cells fan out over the
+    Mirrors :func:`repro.serve.bench.run_grid`: cells fan out over the
     engine scheduler; the result cache is off by default because the
     serving columns are measured timings.
     """

@@ -31,55 +31,14 @@ from repro.experiments import (
     table3,
     table4,
 )
-
-def _merge_serve_rows(groups: list[object]) -> tuple[object, str]:
-    """Fold the serve-bench cells back into one section table."""
-    rows = list(groups)
-    header = (
-        "scenario       normalizer   strategy       tokens/s   TTFT p50        "
-        "queue max  prefix hit  tok/step"
-    )
-    lines = [header]
-    for row in rows:
-        metrics = row["metrics"]
-        lines.append(
-            f"{row['scenario']:14s} {row['normalizer']:10s} "
-            f"{row.get('decode_strategy', 'one-token'):13s} "
-            f"{metrics['tokens_per_second']:9.1f}  "
-            f"{metrics['ttft_s']['p50'] * 1e3:9.2f} ms  "
-            f"{metrics['queue_depth']['max']:6d}  "
-            f"{metrics['prefix_hit_rate'] * 100:9.1f}%  "
-            f"{metrics['decode_tokens_per_step']:8.2f}"
-        )
-    return rows, "\n".join(lines)
-
-
-def _merge_cluster_rows(groups: list[object]) -> tuple[object, str]:
-    """Fold the cluster-bench cells back into one section table."""
-    rows = list(groups)
-    header = (
-        "scenario       routing          R     tokens/s   prefix hit  "
-        "imbalance  fairness   spill"
-    )
-    lines = [header]
-    for row in rows:
-        cluster = row["cluster"]
-        lines.append(
-            f"{row['scenario']:14s} {row['routing']:15s} "
-            f"{row['replicas']:2d} {cluster['aggregate_tokens_per_second']:10.1f}  "
-            f"{cluster['prefix_hit_rate'] * 100:9.1f}%  "
-            f"{cluster['load_imbalance']:8.3f}  {cluster['jain_fairness']:8.3f}  "
-            f"{cluster['routing']['spill_count']:5d}"
-        )
-    return rows, "\n".join(lines)
-
+from repro.serve import bench
 
 #: Sections whose jobs are merged back into one table after scheduling.
 _MERGED_SECTIONS = {
     "Table IV": table4.merge_cell_rows,
-    "Serve bench": _merge_serve_rows,
+    "Serve bench": bench.merge_rows,
     "Precision sweep": precision_sweep.merge_cell_rows,
-    "Cluster bench": _merge_cluster_rows,
+    "Cluster bench": bench.merge_rows,
 }
 
 
@@ -134,24 +93,16 @@ def build_sections(
     ]
     if include_serve:
         from repro.nn.executor import validate_backend
-        from repro.serve import bench
 
         validate_backend(backend)
-        backends = (backend,)
-        serve_jobs = bench.jobs(
-            quick=quick, seed=seed, policy=policy, backends=backends
-        )
+        axes = {"policy": (policy,), "backend": (backend,)}
+        serve_jobs = bench.jobs(axes, quick=quick, seed=seed)
         # Structured scenarios exercising the paged-KV scheduling features:
         # shared-prefix adoption (chat/agent) under a chunked-prefill budget.
         serve_jobs += bench.jobs(
-            quick=quick,
-            seed=seed,
-            policy=policy,
-            backends=backends,
-            scenarios=("chat-multiturn", "agent-fanout"),
-            normalizers=("baseline",),
-            prefix_caching=True,
-            prefill_budget=32,
+            {**axes, "scenario": ("chat-multiturn", "agent-fanout"),
+             "normalizer": ("baseline",)},
+            quick=quick, seed=seed, prefix_caching=True, prefill_budget=32,
         )
         if decode_strategy != "one-token":
             # Paired one-token vs speculative cells on the copy-heavy grid.
@@ -161,25 +112,18 @@ def build_sections(
             if max_draft is not None:
                 spec_knobs["max_draft"] = int(max_draft)
             serve_jobs += bench.jobs(
-                quick=quick,
-                seed=seed,
-                policy=policy,
-                backends=backends,
-                scenarios=bench.SPEC_SCENARIOS,
-                normalizers=("baseline",),
-                decode_strategies=("one-token", decode_strategy),
-                **spec_knobs,
+                {**axes, "scenario": bench.SPEC_SCENARIOS,
+                 "normalizer": ("baseline",),
+                 "decode_strategy": ("one-token", decode_strategy)},
+                quick=quick, seed=seed, **spec_knobs,
             )
         sections.append(("Serve bench", serve_jobs))
     if include_cluster:
-        from repro.cluster import bench as cluster_bench
-
         # Replica counts x routing policies on the shared-prefix scenarios:
         # every cell serves the identical workload, so the section isolates
         # what routing placement does to hit rate and aggregate throughput.
-        sections.append(
-            ("Cluster bench", cluster_bench.jobs(quick=quick, seed=seed))
-        )
+        cluster = bench.plan("cluster-bench", quick=quick, seed=seed)
+        sections.append(("Cluster bench", cluster.jobs()))
     if include_precision:
         sections.append(
             ("Precision sweep", precision_sweep.jobs(quick=quick, seed=seed))

@@ -33,9 +33,11 @@ runs until its last row finishes.  This package adds the serving layer:
   :mod:`repro.macro.traffic`.
 * :mod:`~repro.serve.metrics` — TTFT / inter-token-latency percentiles,
   tokens/sec, queue depth, slot occupancy.
-* :mod:`~repro.serve.bench` — the ``serve-bench`` harness: runs every
-  scenario (optionally under swapped normalizers and/or a precision
-  policy via ``--policy``) as engine jobs and emits ``BENCH_serve.json``.
+* :mod:`~repro.serve.bench` — the one bench harness behind
+  ``serve-bench``, ``cluster-bench`` and ``shard-bench``: a grid of
+  seeded serving cells (scenario x normalizer x policy x decode strategy
+  x backend x KV tier x replicas x routing) run as engine jobs, each row
+  compared with its twins by token digest.
 
 The whole serve path is precision-policy aware: the model's
 :class:`~repro.precision.policy.PrecisionPolicy` shapes every op, and the

@@ -1,144 +1,143 @@
-"""The ``serve-bench`` harness: traffic scenarios × normalizer variants.
+"""The one bench harness behind ``serve-bench``, ``cluster-bench`` and ``shard-bench``.
 
-Each (scenario, normalizer) cell is declared as a
-:class:`repro.engine.Job` and executed through the experiment engine's
-scheduler, so cells fan out over ``--jobs N`` worker processes like any
-other experiment.  Because every workload is fully seeded, the *token
-streams* of two normalizer variants of the same scenario are produced
-under literally identical traffic — the timing columns then isolate what
-the normalizer swap (``replace_layernorm``) costs or saves end to end,
-which is the system-level version of the paper's per-op comparison.  The
-same seeding makes the scheduling knobs comparable: ``--prefix-caching``,
-``--prefill-budget``, and ``--priority-mix`` change *when* and *how* work
-is computed, never which tokens come out.
+Every benchmark here runs the same experiment: serve identical, fully
+seeded traffic under one knob swapped — the normalizer (the paper's
+system-level comparison), the precision policy, the decode strategy, the
+execution backend, the cold KV tier, the replica count or the routing
+policy — and compare the token digests.  The harness has one of each
+part:
 
-Results land in ``BENCH_serve.json``::
+* **One cell** (:func:`run_scenario`): one scenario served through
+  ``ClusterRouter(replicas=R, routing=...)``; R=1 is a single engine.
+  Every row has one schema: the identity fields (:data:`AXES`), every
+  knob of :data:`CELL_DEFAULTS`, ``token_digest`` (an order-independent
+  checksum of every served stream), ``metrics``, ``pool``, ``cluster``
+  and ``executor_stats``.
+* **One grid** (:func:`jobs`): the product of the axes, declared as data.
+* **One repeat path** (:func:`run_cell`): the fastest of ``repeats``
+  runs; a digest that drifts between repeats aborts the run.
+* **One validation pass** (:func:`plan`): every axis value and knob is
+  checked before any cell runs, so a typo is one ``ValueError`` (a
+  one-line usage error at the CLI), never a failure halfway through.
+* **One comparison** (:func:`twin_comparison`): each row against its twin
+  that differs only in one axis.
+
+The three subcommands are presets (:data:`PRESETS`): default axes and
+knobs, a default artifact path, and pipeline mode's pool-reuse
+measurement.  Results land in ``BENCH_*.json``::
 
     {
-      "config":  {...},              # model, batch size, request counts
-      "results": [ {scenario, normalizer, prefix_caching, prefill_budget,
-                    metrics, pool} ... ],
-      "comparison": {                # per scenario, relative to "baseline"
-        "<scenario>": {"<normalizer>": {"tokens_per_second_ratio": ...,
-                                         "ttft_p50_delta_s": ...}}
-      }
+      "config":  {...},              # preset, flags, axes
+      "results": [ {scenario, normalizer, policy, decode_strategy, backend,
+                    tier, replicas, routing, <knobs>, token_digest,
+                    metrics, pool, cluster, executor_stats} ... ],
+      "comparisons": {               # one per compared axis (see BASELINES)
+        "<axis>": {"<cell key>": {"<axis value>": {"tokens_match": ...,
+                                                     "tokens_per_second_ratio": ...}}}
+      },
+      "pool_reuse": {...}            # shard-bench --mode pipeline only
     }
 
-``metrics`` now includes the prefix-cache columns (``prefix_hit_rate``,
-``prefix_tokens_reused``, ``prefill_tokens_computed``), the preemption
-counters (``preempted_count``, ``preempted_ids``), per-priority-class
-latency percentiles (``latency_by_priority``), and the speculative
-decoding counters (``draft_proposed`` / ``draft_accepted`` /
-``acceptance_rate`` / ``decode_tokens_per_step``); ``pool`` includes the
-sharing counters (``blocks_adopted``, ``cow_forks``,
-``prefix_blocks_cached``, ``prefix_evictions``).
-
-With ``--decode-strategy prompt-lookup`` every cell runs **twice** — once
-under the classic one-token strategy and once speculatively — and a
-``spec_comparison`` section reports, per cell, the throughput ratio, the
-acceptance rate, and ``tokens_match``: whether the two runs' full token
-streams are byte-identical (they must be; every row carries a
-``token_digest`` checksum of its served output so the artifact itself
-proves it).  The copy-heavy ``summarize-copy`` scenario is the designed
-best case; CI uploads the comparison as ``BENCH_serve_spec.json``.
-
-With ``--backend compiled`` every cell is likewise paired with a
-reference-backend twin and the payload gains ``backend_comparison``:
-per-cell digest equality (the compiled executor may only change
-tokens/sec, never a token) plus the measured throughput ratio.
-``--policies a,b,c`` sweeps the pairing over several precision presets in
-one artifact — the recipe behind ``BENCH_executor.json``.
-
-With ``--tier-blocks`` / ``--tier-ratio`` every cell is paired with an
-*untiered* (evict-only) twin under identical traffic and the payload
-gains ``tier_comparison``: per-cell digest equality (demotion and
-promotion may only change timings, never a token), the tiered-over-
-untiered throughput ratio, and the cold-tier counters (``cold_hit_rate``,
-``blocks_demoted`` / ``blocks_promoted``, ``recompute_tokens_avoided``).
-The DAG scenarios (``agent-tree``, ``map-reduce``) under a tight
-``--max-blocks`` are the designed stress; the recipe behind
-``BENCH_kv_tier.json``.
-
-Timing metrics are measured wall-clock compute (virtual clock); token
-counts and finish reasons are deterministic per seed.  Benchmarks are run
-with the result cache *disabled by default* — replaying stored timings
-would defeat the point — but the cells still go through the engine
-scheduler for parallelism and uniformity.
+Timings are the engines' virtual clock over measured step times; token
+streams are deterministic per seed.  The result cache is off by default
+(replayed timings would defeat a benchmark), but cells still go through
+the experiment engine, so ``--jobs N`` fans them out.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
+import time
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.baselines.registry import VARIANT_PRESETS
+from repro.cluster.router import ROUTING_POLICIES, ClusterRouter
 from repro.engine import Job, ResultCache, run_jobs
-from repro.nn.config import get_config
+from repro.nn.config import OPT_CONFIGS, get_config
 from repro.nn.executor import validate_backend
 from repro.nn.model import OPTLanguageModel
-from repro.precision.policy import resolve_kv_format
-from repro.serve.decode import resolve_strategy
-from repro.serve.engine import ServeEngine
+from repro.precision.policy import available_policies, resolve_kv_format
+from repro.serve.decode import STRATEGIES, resolve_strategy
 from repro.serve.workload import SCENARIOS, generate_workload
+from repro.shard.executor import parse_pipeline_spec, parse_shard_spec
 
-#: Normalizer variants the benchmark compares — the shared presets of
-#: :data:`repro.baselines.registry.VARIANT_PRESETS`.  The working format
-#: follows the serving policy (``PrecisionPolicy.variant_normalizer_fmt``);
-#: under the default ``fp64-ref`` policy it falls back to fp16 — the
-#: historical "fp16 normalizer on an exact substrate" comparison.
-NORMALIZER_VARIANTS = VARIANT_PRESETS
+DEFAULT_NORMALIZERS = ("baseline", "iterl2norm")
+
+#: The classic serve grid; the structured scenarios are opt-in via
+#: ``--scenarios`` so the default artifact stays comparable across revisions.
+DEFAULT_SCENARIOS = ("steady", "bursty", "chat", "codegen")
+
+#: The copy-heavy cells a speculative serve grid runs by default.
+SPEC_SCENARIOS = ("summarize-copy", "codegen")
+
+#: The shared-prefix scenarios where routing placement moves the hit rate.
+DEFAULT_CLUSTER_SCENARIOS = ("chat-multiturn", "agent-fanout")
+
+#: The grid axes in cell-key order, each with the values a grid that
+#: leaves it out takes.  ``tier`` values are ``None`` (untiered) or a dict
+#: of tier knobs; rows label them ``"untiered"`` / ``"tiered"``.
+AXES = {
+    "scenario": DEFAULT_SCENARIOS,
+    "normalizer": DEFAULT_NORMALIZERS,
+    "policy": ("fp64-ref",),
+    "decode_strategy": ("one-token",),
+    "backend": ("reference",),
+    "tier": (None,),
+    "replicas": (1,),
+    "routing": ("round-robin",),
+}
+
+#: The axes every artifact compares, each against this baseline value.
+#: Only ``normalizer`` may change tokens (a swapped normalizer moves
+#: logits); on every other axis ``tokens_match`` must hold.
+BASELINES = {
+    "normalizer": "baseline",
+    "decode_strategy": "one-token",
+    "backend": "reference",
+    "tier": "untiered",
+    "routing": "round-robin",
+}
+
+#: Every knob a cell takes besides scenario, normalizer, quick and seed,
+#: with its default; each row echoes all of them.
+CELL_DEFAULTS = {
+    "policy": "fp64-ref",
+    "decode_strategy": "one-token",
+    "backend": "reference",
+    "replicas": 1,
+    "routing": "round-robin",
+    "model_name": "opt-test",
+    "num_requests": None,  # default 12 (quick) or 48
+    "sessions": None,  # size the workload in sessions instead
+    "max_batch_size": 8,  # decode slots per replica
+    "rate_scale": 1.0,
+    "priority_mix": None,
+    "copy_rate": None,
+    "prefix_caching": False,
+    "prefill_budget": None,
+    "max_blocks": None,  # per replica
+    "block_size": 16,
+    "ngram": None,
+    "max_draft": None,
+    "tier_blocks": None,
+    "tier_ratio": None,
+    "tier_fmt": None,
+    "slo_aware": False,
+    "capacity_weights": None,
+}
 
 #: Normalizer working format under the float64 passthrough policy.
 _PASSTHROUGH_VARIANT_FMT = "fp16"
 
-DEFAULT_NORMALIZERS = ("baseline", "iterl2norm")
-
-#: The classic grid cells; the structured scenarios (``chat-multiturn``,
-#: ``agent-fanout``, ``priority-burst``) are opt-in via ``--scenarios`` so
-#: the default artifact stays comparable across revisions.
-DEFAULT_SCENARIOS = ("steady", "bursty", "chat", "codegen")
-
-#: The copy-heavy cells the speculative comparison grid runs by default.
-SPEC_SCENARIOS = ("summarize-copy", "codegen")
-
-
-def validate_policies(presets) -> None:
-    """Reject unknown precision-policy presets before any job runs.
-
-    A typo'd ``--policy``/``--policies`` entry used to surface as a
-    KeyError traceback from a worker process halfway through the grid;
-    failing the whole sweep up front with the valid preset list is the
-    CLI-friendly behavior (the commands turn this into a one-line
-    ``SystemExit``).
-    """
-    from repro.precision.policy import available_policies, get_policy
-
-    for preset in presets:
-        try:
-            get_policy(preset)
-        except KeyError:
-            known = ", ".join(available_policies())
-            raise ValueError(
-                f"unknown precision policy {preset!r} (valid presets: {known})"
-            ) from None
-
-
-def validate_scenarios(names) -> None:
-    """Reject unknown workload scenarios before any job is declared.
-
-    Same contract as :func:`validate_policies`: a typo'd ``--scenarios``
-    entry fails the sweep up front with the valid scenario list instead of
-    surfacing as a KeyError traceback from inside job declaration.
-    """
-    for name in names:
-        if name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ValueError(
-                f"unknown scenario {name!r} (valid scenarios: {known})"
-            )
+HEADER = (
+    f"{'scenario':14s} {'normalizer':10s} {'strategy':13s} {'backend':12s} "
+    f"{'R':>2s} {'routing':15s} {'tokens/s':>9s}"
+)
 
 
 def _token_digest(completed) -> str:
@@ -146,7 +145,7 @@ def _token_digest(completed) -> str:
 
     Two runs serving the same workload produce equal digests iff every
     request's tokens are byte-identical — the artifact-level proof that a
-    scheduling or decode-strategy knob changed timings only.
+    knob changed timings only.
     """
     crc = 0
     for c in sorted(completed, key=lambda c: c.request_id):
@@ -155,718 +154,689 @@ def _token_digest(completed) -> str:
     return f"{crc:08x}"
 
 
+def _tier_label(knobs) -> str:
+    tiered = knobs.get("tier_blocks") or knobs.get("tier_ratio")
+    return "tiered" if tiered else "untiered"
+
+
+def _label(axis: str, value) -> str:
+    """How an axis value reads in job names and comparison keys."""
+    if axis == "tier" and not isinstance(value, str):
+        return _tier_label(value or {})
+    if axis == "replicas":
+        return f"R{value}"
+    return str(value)
+
+
+def row_text(row: dict) -> str:
+    """One table line per row (the columns of :data:`HEADER`)."""
+    m, cluster = row["metrics"], row["cluster"]
+    return (
+        f"{row['scenario']:14s} {row['normalizer']:10s} "
+        f"{row['decode_strategy']:13s} {row['backend']:12s} "
+        f"{row['replicas']:2d} {row['routing']:15s} "
+        f"{m['tokens_per_second']:9.1f} tok/s  "
+        f"ttft p50 {m['ttft_s']['p50'] * 1e3:7.2f} ms  "
+        f"p99 {m['ttft_s']['p99'] * 1e3:7.2f} ms  "
+        f"itl p50 {m['inter_token_latency_s']['p50'] * 1e3:6.2f} ms  "
+        f"queue max {m['queue_depth']['max']:3d}  "
+        f"prefix hit {m['prefix_hit_rate'] * 100:5.1f}%  "
+        f"preempt {m['preempted_count']:3d}  "
+        f"accept {m['acceptance_rate'] * 100:5.1f}%  "
+        f"tok/step {m['decode_tokens_per_step']:4.2f}  "
+        f"cold {m['cold_hit_rate'] * 100:5.1f}%  "
+        f"imbalance {cluster['load_imbalance']:5.3f}"
+    )
+
+
+def merge_rows(rows: list) -> tuple[list, str]:
+    """Fold bench cells back into one table (the runner's bench sections)."""
+    rows = list(rows)
+    return rows, "\n".join([HEADER, *map(row_text, rows)])
+
+
 def run_scenario(
     scenario: str = "steady",
     normalizer: str = "baseline",
     quick: bool = True,
-    num_requests: int | None = None,
-    model_name: str = "opt-test",
-    max_batch_size: int = 8,
-    rate_scale: float = 1.0,
     seed: int = 0,
-    policy: str = "fp64-ref",
-    prefix_caching: bool = False,
-    prefill_budget: int | None = None,
-    max_blocks: int | None = None,
-    block_size: int = 16,
-    priority_mix: str | None = None,
-    decode_strategy: str = "one-token",
-    ngram: int | None = None,
-    max_draft: int | None = None,
-    copy_rate: float | None = None,
-    backend: str = "reference",
-    tier_blocks: int | None = None,
-    tier_ratio: float | None = None,
-    tier_fmt: str | None = None,
-    slo_aware: bool = False,
+    **knobs,
 ) -> tuple[dict, str]:
-    """Serve one scenario under one normalizer; returns ``(rows, text)``.
+    """Serve one scenario under one normalizer; returns ``(row, text)``.
 
     The substrate model is built from ``seed`` with random weights —
-    serving throughput and latency do not depend on training, and random
-    weights keep the job self-contained and cache-addressable.  ``policy``
-    names the precision policy of the whole datapath (weights, activations,
-    KV pool); the normalizer variant is layered on top of it.
-    ``prefix_caching`` / ``prefill_budget`` / ``max_blocks`` /
-    ``priority_mix`` configure the scheduling features and
-    ``decode_strategy`` / ``ngram`` / ``max_draft`` the decode strategy
-    (see :class:`~repro.serve.engine.ServeEngine`); none of them changes
-    the served tokens — the row's ``token_digest`` checksums the full
-    output so artifacts can prove it.  ``copy_rate`` tunes the copied
-    fraction of a ``"copy"``-structured scenario's prompts.  ``backend``
-    selects the execution backend (``"reference"`` or ``"compiled"``);
-    like the scheduling knobs it changes timings only, never a token.
-    ``tier_blocks`` / ``tier_ratio`` / ``tier_fmt`` arm the cold KV tier
-    and ``slo_aware`` the cost-model victim ranking (see
-    :class:`~repro.serve.engine.ServeEngine`) — also timing-only knobs:
-    promotion is restricted to byte-exact restores, so the digest proves
-    tiering never changed a token.
+    serving throughput does not depend on training, and random weights
+    keep the cell self-contained and cache-addressable.  ``knobs`` are the
+    entries of :data:`CELL_DEFAULTS`: the precision policy of the whole
+    datapath (the normalizer variant is layered on top), the workload
+    sizing, and the :class:`~repro.serve.engine.ServeEngine` /
+    :class:`~repro.cluster.router.ClusterRouter` settings.  Apart from the
+    normalizer, none of them changes a served token — the row's
+    ``token_digest`` lets the artifact prove it.
     """
-    if normalizer not in NORMALIZER_VARIANTS:
-        known = ", ".join(sorted(NORMALIZER_VARIANTS))
+    unknown = sorted(set(knobs) - set(CELL_DEFAULTS))
+    if unknown:
+        raise TypeError(f"unknown cell knobs: {', '.join(unknown)}")
+    if normalizer not in VARIANT_PRESETS:
+        known = ", ".join(sorted(VARIANT_PRESETS))
         raise KeyError(f"unknown normalizer {normalizer!r}; known: {known}")
-    config = get_config(model_name)
-    model = OPTLanguageModel(config, rng=np.random.default_rng(seed), policy=policy)
+    p = {**CELL_DEFAULTS, **knobs}
+    config = get_config(p["model_name"])
+    model = OPTLanguageModel(
+        config, rng=np.random.default_rng(seed), policy=p["policy"]
+    )
     model.eval()
-    variant = NORMALIZER_VARIANTS[normalizer]
+    variant = VARIANT_PRESETS[normalizer]
     if variant is not None:
         method, kwargs = variant
         fmt = model.policy.variant_normalizer_fmt or _PASSTHROUGH_VARIANT_FMT
         model.replace_layernorm(method, fmt=fmt, **kwargs)
 
-    if num_requests is None:
-        num_requests = 12 if quick else 48
+    if p["sessions"] is not None:
+        size = {"sessions": p["sessions"]}
+    else:
+        size = {"num_requests": p["num_requests"] or (12 if quick else 48)}
     workload = generate_workload(
         scenario,
-        num_requests=num_requests,
         vocab_size=config.vocab_size,
         seed=seed,
-        rate_scale=rate_scale,
-        priority_mix=priority_mix,
-        copy_rate=copy_rate,
+        rate_scale=p["rate_scale"],
+        priority_mix=p["priority_mix"],
+        copy_rate=p["copy_rate"],
+        **size,
     )
-    engine = ServeEngine(
+    router = ClusterRouter(
         model,
-        max_batch_size=max_batch_size,
-        block_size=block_size,
-        prefix_caching=prefix_caching,
-        prefill_budget=prefill_budget,
-        max_blocks=max_blocks,
+        replicas=p["replicas"],
+        routing=p["routing"],
+        capacity_weights=p["capacity_weights"],
         decode_strategy=resolve_strategy(
-            decode_strategy, ngram=ngram, max_draft=max_draft
+            p["decode_strategy"], ngram=p["ngram"], max_draft=p["max_draft"]
         ),
-        backend=backend,
-        tier_blocks=tier_blocks,
-        tier_ratio=tier_ratio,
-        tier_fmt=tier_fmt,
-        slo_aware=slo_aware,
+        **{
+            key: p[key]
+            for key in (
+                "max_batch_size", "block_size", "prefix_caching",
+                "prefill_budget", "max_blocks", "backend", "tier_blocks",
+                "tier_ratio", "tier_fmt", "slo_aware",
+            )
+        },
     )
     try:
-        report = engine.serve(workload)
-        stats_fn = getattr(engine.executor, "runtime_stats", None)
+        report = router.serve(workload)
+        # Replica 0 stands for the cluster: every replica runs the same
+        # executor topology.
+        stats_fn = getattr(router.engines[0].executor, "runtime_stats", None)
         executor_stats = stats_fn() if callable(stats_fn) else None
     finally:
-        engine.close()
+        for engine in router.engines:
+            engine.close()
 
-    rows = {
+    row = {
         "scenario": scenario,
         "normalizer": normalizer,
-        "policy": policy,
-        "model": model_name,
-        "num_requests": num_requests,
-        "max_batch_size": max_batch_size,
         "seed": seed,
-        "prefix_caching": bool(prefix_caching),
-        "prefill_budget": prefill_budget,
-        "max_blocks": max_blocks,
-        "priority_mix": priority_mix,
-        "decode_strategy": decode_strategy,
-        "ngram": ngram,
-        "max_draft": max_draft,
-        "copy_rate": copy_rate,
-        "backend": backend,
-        "tier_blocks": tier_blocks,
-        "tier_ratio": tier_ratio,
-        "tier_fmt": tier_fmt,
-        "slo_aware": bool(slo_aware),
+        **p,
+        "num_requests": len(workload),
+        "tier": _tier_label(p),
         "token_digest": _token_digest(report.completed),
-        "metrics": report.metrics,
-        "pool": report.pool_stats,
+        "metrics": report.merged.metrics,
+        "pool": report.merged.pool_stats,
+        "cluster": report.summary(),
         "executor_stats": executor_stats,
     }
-    metrics = report.metrics
-    text = (
-        f"{scenario:14s} {normalizer:10s} {decode_strategy:13s} {backend:9s} "
-        f"{metrics['tokens_per_second']:9.1f} tok/s  "
-        f"ttft p50 {metrics['ttft_s']['p50'] * 1e3:7.2f} ms  "
-        f"p99 {metrics['ttft_s']['p99'] * 1e3:7.2f} ms  "
-        f"itl p50 {metrics['inter_token_latency_s']['p50'] * 1e3:6.2f} ms  "
-        f"queue max {metrics['queue_depth']['max']:3d}  "
-        f"reused blocks {report.pool_stats['blocks_reused']:4d}  "
-        f"prefix hit {metrics['prefix_hit_rate'] * 100:5.1f}%  "
-        f"preempt {metrics['preempted_count']:3d}  "
-        f"accept {metrics['acceptance_rate'] * 100:5.1f}%  "
-        f"tok/step {metrics['decode_tokens_per_step']:4.2f}  "
-        f"cold {metrics['cold_hit_rate'] * 100:5.1f}%"
-    )
-    return rows, text
+    return row, row_text(row)
 
 
-def run_serve_cell(repeats: int = 1, **params) -> tuple[dict, str]:
-    """Best-of-``repeats`` wrapper around :func:`run_scenario`.
+def run_cell(repeats: int = 1, **params) -> tuple[dict, str]:
+    """The repeat path: the fastest of ``repeats`` runs of one cell.
 
-    Timing noise makes single-shot throughput ratios wobble between runs;
-    repeating the cell and keeping the fastest repeat (by
-    ``tokens_per_second``) measures capability, not scheduler luck.
-    Correctness is *not* allowed to wobble: every repeat must produce the
-    same ``token_digest``, otherwise the run aborts — a digest that varies
-    across repeats means the engine is no longer deterministic.
+    Timing noise on a shared host can swing a single run's tokens/sec by
+    tens of percent; the fastest repeat measures capability, not
+    scheduler luck.  Tokens may not vary at all: the first repeat whose
+    ``token_digest`` differs from the others aborts the run.
     """
     repeats = int(repeats)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     best = None
-    digests = set()
-    # Late-bound module global so tests monkeypatching ``run_scenario``
-    # see their stub called once per repeat.
     for _ in range(repeats):
-        rows, text = run_scenario(**params)
-        digests.add(rows["token_digest"])
-        if len(digests) > 1:
+        # Late-bound module global, so a test stub of run_scenario is
+        # called once per repeat.
+        row, text = run_scenario(**params)
+        if best is not None and row["token_digest"] != best[0]["token_digest"]:
             raise RuntimeError(
-                f"cell {params} produced {len(digests)} distinct token "
-                f"digests across repeats — the engine is no longer "
-                f"deterministic"
+                f"cell {params} produced two token digests across repeats — "
+                f"serving is no longer deterministic"
             )
-        if (
-            best is None
-            or rows["metrics"]["tokens_per_second"]
+        if best is None or (
+            row["metrics"]["tokens_per_second"]
             > best[0]["metrics"]["tokens_per_second"]
         ):
-            best = (rows, text)
-    rows, text = best
-    rows["repeats"] = repeats
-    return rows, text
+            best = (row, text)
+    row, text = best
+    row["repeats"] = repeats
+    return row, text
 
 
 def jobs(
+    axes: dict | None = None,
     quick: bool = True,
     seed: int = 0,
-    scenarios=None,
-    normalizers=DEFAULT_NORMALIZERS,
-    policy: str = "fp64-ref",
-    decode_strategies=("one-token",),
-    policies=None,
-    backends=("reference",),
     repeats: int = 1,
-    tiers=(None,),
-    **params,
+    **knobs,
 ) -> list[Job]:
-    """One engine job per (scenario, normalizer, policy, strategy, backend).
+    """One engine job per point of the axes' product.
 
-    Extra ``params`` (``prefix_caching``, ``prefill_budget``,
-    ``priority_mix``, ``ngram``, ``max_draft``, ...) are forwarded into
-    every cell — and into its cache key, so differently configured cells
-    never collide.  ``decode_strategies`` is usually the single default;
-    the speculative comparison grid passes ``("one-token",
-    "prompt-lookup")`` so each cell gets a paired baseline.  ``policies``
-    (when given) overrides the single ``policy`` with a sweep axis, and
-    ``backends`` does the same for execution backends — the
-    executor-parity grid pairs ``("reference", "compiled")`` cells so the
-    artifact can prove digest equality per precision preset.  ``repeats``
-    > 1 routes each cell through :func:`run_serve_cell` (best-of-N with
-    digest-stability enforcement) so ``backend_comparison`` ratios stop
-    wobbling between runs.  ``tiers`` is the cold-KV-tier pairing axis:
-    each entry is either ``None`` (untiered) or a dict of tier knobs
-    (``tier_blocks`` / ``tier_ratio`` / ``tier_fmt`` / ``slo_aware``)
-    merged into the cell — ``(None, {...})`` declares each cell twice so
-    ``tier_comparison`` can prove digest equality against the evict-only
-    twin and measure the tiering uplift.
+    ``axes`` maps axis names to value tuples; an axis left out takes its
+    :data:`AXES` default.  ``knobs`` reach every cell — and its cache key.
+    ``ngram``/``max_draft`` configure prompt-lookup only, so a one-token
+    cell drops them.  Job names list the scenario plus every axis that
+    takes more than one value.
     """
-    names = list(scenarios) if scenarios else list(DEFAULT_SCENARIOS)
-    for name in names:
-        if name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise KeyError(f"unknown scenario {name!r}; known: {known}")
-    policy_list = tuple(policies) if policies else (policy,)
+    grid = {**AXES, **(axes or {})}
+    named = [a for a, values in grid.items() if a == "scenario" or len(values) > 1]
     declared = []
-    for scenario in names:
-        for normalizer in normalizers:
-            for cell_policy in policy_list:
-                for strategy in decode_strategies:
-                    for backend in backends:
-                        for tier in tiers:
-                            cell = dict(params)
-                            if strategy != "prompt-lookup":
-                                # ngram/max_draft configure prompt-lookup
-                                # only; a one-token baseline cell must not
-                                # inherit them.
-                                cell.pop("ngram", None)
-                                cell.pop("max_draft", None)
-                            if tier:
-                                cell.update(tier)
-                            name = f"serve[{scenario}/{normalizer}/{strategy}]"
-                            if len(policy_list) > 1:
-                                name = (
-                                    f"serve[{scenario}/{normalizer}/"
-                                    f"{cell_policy}/{strategy}]"
-                                )
-                            if backend != "reference":
-                                name += f"[{backend}]"
-                            if tier:
-                                name += "[tiered]"
-                            cell_params = {
-                                "scenario": scenario,
-                                "normalizer": normalizer,
-                                "quick": bool(quick),
-                                "policy": cell_policy,
-                                "decode_strategy": strategy,
-                                "backend": backend,
-                                **cell,
-                            }
-                            target = "repro.serve.bench:run_scenario"
-                            if repeats > 1:
-                                target = "repro.serve.bench:run_serve_cell"
-                                cell_params["repeats"] = int(repeats)
-                            declared.append(
-                                Job(
-                                    name=name,
-                                    target=target,
-                                    params=cell_params,
-                                    seed=seed,
-                                )
-                            )
+    for values in itertools.product(*grid.values()):
+        point = dict(zip(grid, values))
+        name = "/".join(_label(axis, point[axis]) for axis in named)
+        params = {**knobs, **(point.pop("tier") or {}), **point}
+        if point["decode_strategy"] != "prompt-lookup":
+            params.pop("ngram", None)
+            params.pop("max_draft", None)
+        declared.append(
+            Job(
+                name=f"bench[{name}]",
+                target="repro.serve.bench:run_cell",
+                params={**params, "quick": bool(quick), "repeats": int(repeats)},
+                seed=seed,
+            )
+        )
     return declared
 
 
-def _reference_rows(results: list[dict]) -> list[dict]:
-    """The rows served by the reference backend (the comparison baselines)."""
-    return [r for r in results if r.get("backend", "reference") == "reference"]
+def twin_comparison(results: list[dict], axis: str, baseline) -> dict:
+    """Each row against its twin that differs from it only in ``axis``.
 
-
-def _untiered_rows(results: list[dict]) -> list[dict]:
-    """The rows served without a cold tier.
-
-    The normalizer / speculation / backend comparisons pair cells that
-    differ in exactly one knob; tiered twins differ in the tier too, so
-    they are compared only in ``tier_comparison``.
+    The twin is the row equal on every other identity field whose
+    ``axis`` value is ``baseline`` — or ``baseline(value)`` when it is
+    callable, which lets each parallel backend name its own N=1/P=1 twin;
+    ``None`` skips the row.  Because the workloads are seeded, twins see
+    identical traffic: ``tokens_match`` is the exactness proof and
+    ``tokens_per_second_ratio`` the measured effect of the axis.
+    Returns ``{cell key: {axis value: entry}}``; the cell key is the
+    scenario plus every other axis that takes more than one value.
     """
-    return [r for r in results if not (r.get("tier_blocks") or r.get("tier_ratio"))]
-
-
-def _multi_policy(results: list[dict]) -> bool:
-    return len({row.get("policy") for row in results}) > 1
-
-
-def _comparison(results: list[dict]) -> dict:
-    """Per-scenario normalizer deltas relative to the baseline cells.
-
-    Backend deltas live in ``backend_comparison``; only reference-backend
-    rows are compared here.  With a multi-policy grid the cell keys gain a
-    ``/policy`` suffix so presets never collapse onto each other.
-    """
-    rows = _untiered_rows(_reference_rows(results))
-    multi = _multi_policy(rows)
-    baselines = {
-        (row["scenario"], row.get("policy")): row
-        for row in rows
-        if row["normalizer"] == "baseline"
-        and row.get("decode_strategy", "one-token") == "one-token"
-    }
-    comparison: dict[str, dict] = {}
-    for row in rows:
-        if row.get("decode_strategy", "one-token") != "one-token":
-            continue  # strategy deltas live in spec_comparison
-        base = baselines.get((row["scenario"], row.get("policy")))
-        if base is None or row is base:
-            continue
-        base_tps = base["metrics"]["tokens_per_second"]
-        cell = row["scenario"]
-        if multi:
-            cell = f"{row['scenario']}/{row.get('policy')}"
-        comparison.setdefault(cell, {})[row["normalizer"]] = {
-            "tokens_per_second_ratio": (
-                row["metrics"]["tokens_per_second"] / base_tps if base_tps else None
-            ),
-            "ttft_p50_delta_s": (
-                row["metrics"]["ttft_s"]["p50"] - base["metrics"]["ttft_s"]["p50"]
-            ),
-            # Traffic is identical by seeding, but a swapped normalizer
-            # changes logits and may legitimately move EOS positions; the
-            # delta shows how much the output volume itself shifted.
-            "tokens_generated_delta": (
-                row["metrics"]["tokens_generated"]
-                - base["metrics"]["tokens_generated"]
-            ),
-        }
-    return comparison
-
-
-def _spec_comparison(results: list[dict]) -> dict:
-    """Speculative vs one-token deltas per (scenario, normalizer) cell.
-
-    ``tokens_match`` compares the paired cells' token digests — the
-    served streams must be byte-identical, since greedy verification
-    accepts exactly the tokens one-token decoding would have produced.
-    Each speculative row is compared against the one-token baseline of
-    its *own* backend and policy.
-    """
-    results = _untiered_rows(results)
-    multi = _multi_policy(results)
-    baselines = {
-        (
-            row["scenario"],
-            row["normalizer"],
-            row.get("policy"),
-            row.get("backend", "reference"),
-        ): row
-        for row in results
-        if row.get("decode_strategy", "one-token") == "one-token"
-    }
+    others = [a for a in AXES if a != axis]
+    keyed = [
+        a for a in others if a == "scenario" or len({row[a] for row in results}) > 1
+    ]
+    twin_of = baseline if callable(baseline) else (lambda _value: baseline)
+    index = {(tuple(row[a] for a in others), row[axis]): row for row in results}
     comparison: dict[str, dict] = {}
     for row in results:
-        strategy = row.get("decode_strategy", "one-token")
-        if strategy == "one-token":
+        target = twin_of(row[axis])
+        base = index.get((tuple(row[a] for a in others), target))
+        if target is None or target == row[axis] or base is None:
             continue
-        backend = row.get("backend", "reference")
-        base = baselines.get(
-            (row["scenario"], row["normalizer"], row.get("policy"), backend)
-        )
-        if base is None:
-            continue
-        base_tps = base["metrics"]["tokens_per_second"]
-        cell = f"{row['scenario']}/{row['normalizer']}"
-        if multi:
-            cell += f"/{row.get('policy')}"
-        if backend != "reference":
-            cell += f"/{backend}"
-        comparison.setdefault(cell, {})[strategy] = {
+        m, b = row["metrics"], base["metrics"]
+        cell = "/".join(_label(a, row[a]) for a in keyed)
+        comparison.setdefault(cell, {})[_label(axis, row[axis])] = {
             "tokens_match": row["token_digest"] == base["token_digest"],
+            "tokens_per_second": m["tokens_per_second"],
+            "baseline_tokens_per_second": b["tokens_per_second"],
             "tokens_per_second_ratio": (
-                row["metrics"]["tokens_per_second"] / base_tps if base_tps else None
-            ),
-            "steps_ratio": (
-                row["metrics"]["steps"] / base["metrics"]["steps"]
-                if base["metrics"]["steps"]
+                m["tokens_per_second"] / b["tokens_per_second"]
+                if b["tokens_per_second"]
                 else None
             ),
-            "acceptance_rate": row["metrics"]["acceptance_rate"],
-            "decode_tokens_per_step": row["metrics"]["decode_tokens_per_step"],
-        }
-    return comparison
-
-
-def _backend_comparison(results: list[dict]) -> dict:
-    """Compiled-vs-reference deltas per (scenario, normalizer, policy) cell.
-
-    Every non-reference row is paired with the reference-backend run of the
-    identical cell (same scenario, normalizer, policy, strategy, seed —
-    identical traffic).  ``tokens_match`` compares the two runs' token
-    digests: a backend may only change tokens/sec, so a ``False`` here
-    means the fused plan broke bit-exactness and the artifact itself
-    proves it.  ``tokens_per_second_ratio`` > 1 is the backend's measured
-    uplift.
-    """
-    results = _untiered_rows(results)
-    baselines = {
-        (
-            row["scenario"],
-            row["normalizer"],
-            row.get("policy"),
-            row.get("decode_strategy", "one-token"),
-        ): row
-        for row in results
-        if row.get("backend", "reference") == "reference"
-    }
-    multi_strategy = (
-        len({row.get("decode_strategy", "one-token") for row in results}) > 1
-    )
-    comparison: dict[str, dict] = {}
-    for row in results:
-        backend = row.get("backend", "reference")
-        if backend == "reference":
-            continue
-        strategy = row.get("decode_strategy", "one-token")
-        base = baselines.get(
-            (row["scenario"], row["normalizer"], row.get("policy"), strategy)
-        )
-        if base is None:
-            continue
-        base_tps = base["metrics"]["tokens_per_second"]
-        cell = f"{row['scenario']}/{row['normalizer']}/{row.get('policy')}"
-        if multi_strategy:
-            cell += f"/{strategy}"
-        comparison.setdefault(cell, {})[backend] = {
-            "tokens_match": row["token_digest"] == base["token_digest"],
-            "tokens_per_second": row["metrics"]["tokens_per_second"],
-            "reference_tokens_per_second": base_tps,
-            "tokens_per_second_ratio": (
-                row["metrics"]["tokens_per_second"] / base_tps if base_tps else None
-            ),
-        }
-    return comparison
-
-
-def _tiered(row: dict) -> bool:
-    return bool(row.get("tier_blocks") or row.get("tier_ratio"))
-
-
-def _tier_comparison(results: list[dict]) -> dict:
-    """Tiered-vs-untiered deltas per (scenario, normalizer, policy) cell.
-
-    Every tiered row is paired with the untiered (evict-only) run of the
-    identical cell — same scenario, normalizer, policy, strategy,
-    backend, seed, and therefore identical traffic.  ``tokens_match``
-    compares the twins' token digests: the tier may only change
-    timings, so a ``False`` means a promotion restored bytes that a
-    fresh write would not have produced and the artifact itself proves
-    it.  ``tokens_per_second_ratio`` > 1 is the measured uplift of
-    demoting cold prefixes instead of evicting them;
-    ``cold_hit_rate`` / ``recompute_tokens_avoided`` show how much of
-    the uplift came from promotions, and ``blocks_demoted`` /
-    ``blocks_promoted`` how hard the tier actually worked.
-    """
-    baselines = {
-        (
-            row["scenario"],
-            row["normalizer"],
-            row.get("policy"),
-            row.get("decode_strategy", "one-token"),
-            row.get("backend", "reference"),
-        ): row
-        for row in results
-        if not _tiered(row)
-    }
-    multi = _multi_policy(results)
-    comparison: dict[str, dict] = {}
-    for row in results:
-        if not _tiered(row):
-            continue
-        base = baselines.get(
-            (
-                row["scenario"],
-                row["normalizer"],
-                row.get("policy"),
-                row.get("decode_strategy", "one-token"),
-                row.get("backend", "reference"),
-            )
-        )
-        if base is None:
-            continue
-        base_tps = base["metrics"]["tokens_per_second"]
-        cell = f"{row['scenario']}/{row['normalizer']}"
-        if multi:
-            cell += f"/{row.get('policy')}"
-        comparison[cell] = {
-            "tokens_match": row["token_digest"] == base["token_digest"],
-            "tokens_per_second": row["metrics"]["tokens_per_second"],
-            "untiered_tokens_per_second": base_tps,
-            "tokens_per_second_ratio": (
-                row["metrics"]["tokens_per_second"] / base_tps if base_tps else None
-            ),
-            "cold_hit_rate": row["metrics"]["cold_hit_rate"],
-            "cold_tokens_restored": row["metrics"]["cold_tokens_restored"],
-            "cold_tokens_refused": row["metrics"]["cold_tokens_refused"],
-            "recompute_tokens_avoided": row["metrics"]["recompute_tokens_avoided"],
-            "blocks_demoted": row["pool"]["blocks_demoted"],
-            "blocks_promoted": row["pool"]["blocks_promoted"],
-            "tier_evictions": row["pool"]["tier_evictions"],
+            "steps_ratio": m["steps"] / b["steps"] if b["steps"] else None,
+            "tokens_generated_delta": m["tokens_generated"] - b["tokens_generated"],
             "prefill_tokens_computed_delta": (
-                row["metrics"]["prefill_tokens_computed"]
-                - base["metrics"]["prefill_tokens_computed"]
+                m["prefill_tokens_computed"] - b["prefill_tokens_computed"]
             ),
         }
     return comparison
 
 
-def validate_tier(
-    tier_blocks: int | None = None,
-    tier_ratio: float | None = None,
-    tier_fmt: str | None = None,
-    prefix_caching: bool = False,
-    max_blocks: int | None = None,
-) -> None:
-    """Reject inconsistent cold-tier flags before any job runs.
+def parallel_twin(backend: str) -> str | None:
+    """The no-parallelism twin of a sharded/pipelined backend spec.
 
-    Same contract as :func:`validate_policies`: the engine would raise
-    the equivalent errors mid-grid from a worker process; failing up
-    front keeps the message a one-line ``SystemExit`` at the CLI.
+    ``sharded:N:d`` pairs with ``sharded:1:d`` and ``pipeline:P[+sharded:N]:d``
+    with ``pipeline:1[+sharded:N]:d``: the same driver and fan-out
+    machinery with none of the parallelism.  ``None`` for other backends.
     """
-    if tier_blocks is not None and tier_ratio is not None:
+    if backend.startswith("sharded:"):
+        _, driver, pin = parse_shard_spec(backend)
+        return f"sharded:1:{driver}" + (":pin" if pin else "")
+    if backend.startswith("pipeline:"):
+        _, shards, driver, pin = parse_pipeline_spec(backend)
+        return pipeline_backend(1, shards, driver, pin)
+    return None
+
+
+def pipeline_backend(
+    num_stages: int, num_shards: int = 1, driver: str = "sim", pin: bool = False
+) -> str:
+    """Canonical spec string for a pipeline topology."""
+    spec = f"pipeline:{int(num_stages)}"
+    if int(num_shards) > 1:
+        spec += f"+sharded:{int(num_shards)}"
+    return spec + f":{driver}" + (":pin" if pin else "")
+
+
+def measure_pool_reuse(
+    model_name: str, policy: str, backend: str, seed: int = 0
+) -> dict:
+    """Cold-fork vs warm-attach cost of the persistent worker pool.
+
+    Builds the same model twice from ``seed`` (as two repeated cells
+    would) and times ``prepare()`` on each: the first pays the worker
+    fork and shared-memory weight packing, the second attaches to the
+    warm pool bundle.  The pool is cleared before and after, so the cold
+    measurement is really cold and no workers are left behind.
+    """
+    from repro.nn.executor import resolve_executor
+    from repro.shard.pool import GLOBAL_POOL
+
+    def timed_prepare():
+        model = OPTLanguageModel(
+            get_config(model_name), rng=np.random.default_rng(seed), policy=policy
+        )
+        model.eval()
+        executor = resolve_executor(backend, model)
+        started = time.perf_counter()
+        executor.prepare()
+        return executor, time.perf_counter() - started
+
+    GLOBAL_POOL.clear()
+    cold_ex, cold = timed_prepare()
+    warm_ex, warm = timed_prepare()
+    reused = warm_ex.runtime_stats()["pool_attach_reused"]
+    cold_ex.close()
+    warm_ex.close()
+    GLOBAL_POOL.clear()
+    return {
+        "backend": backend,
+        "model": model_name,
+        "policy": policy,
+        "cold_prepare_s": cold,
+        "warm_prepare_s": warm,
+        "speedup": cold / warm if warm > 0 else None,
+        "warm_attach_reused": bool(reused),
+    }
+
+
+# -- presets and the validation pass -------------------------------------------
+
+
+def _names(value) -> tuple:
+    return tuple(value.split(",")) if isinstance(value, str) else tuple(value)
+
+
+def _numbers(flag: str, value, kind=int) -> tuple:
+    try:
+        return tuple(kind(v) for v in _names(value))
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be a comma-separated list of "
+            f"{'integers' if kind is int else 'numbers'}, got {value!r}"
+        ) from None
+
+
+def _given(flags: dict, *names) -> dict:
+    """The named flags that were actually set (not ``None``/``False``)."""
+    # Identity tests: a flag set to 0 is set (and must reach validation).
+    return {n: flags[n] for n in names if flags[n] is not None and flags[n] is not False}
+
+
+def _serve_preset(f: dict, quick: bool):
+    strategy = f["decode_strategy"]
+    speculative = strategy != "one-token"
+    if not speculative and (f["ngram"] is not None or f["max_draft"] is not None):
+        # A forgotten --decode-strategy must not silently drop these.
+        raise ValueError("--ngram/--max-draft require --decode-strategy prompt-lookup")
+    f["normalizers"] = list(_names(f["normalizers"]))
+    if f["policies"]:
+        f["policies"] = list(_names(f["policies"]))
+    # A speculative strategy, a non-reference backend and an armed tier
+    # each pair every cell with its twin on that axis.
+    tier = _given(f, "tier_blocks", "tier_ratio", "tier_fmt")
+    axes = {
+        "scenario": f["scenarios"]
+        or (SPEC_SCENARIOS if speculative else DEFAULT_SCENARIOS),
+        "normalizer": tuple(f["normalizers"]),
+        "policy": tuple(f["policies"] or (f["policy"],)),
+        "decode_strategy": ("one-token", strategy) if speculative else (strategy,),
+        "backend": tuple(dict.fromkeys(("reference", f["backend"]))),
+        "tier": (None, tier) if _tier_label(tier) == "tiered" else (tier or None,),
+    }
+    knobs = _given(
+        f, "prefix_caching", "prefill_budget", "max_blocks", "block_size",
+        "priority_mix", "ngram", "max_draft", "copy_rate", "slo_aware",
+    )
+    return axes, knobs, {}
+
+
+def _cluster_preset(f: dict, quick: bool):
+    f["replicas"] = list(_numbers("--replicas", f["replicas"]))
+    f["routing"] = list(_names(f["routing"]))
+    if f["capacity_weights"] is not None:
+        f["capacity_weights"] = list(
+            _numbers("--capacity-weights", f["capacity_weights"], float)
+        )
+    axes = {
+        "scenario": f["scenarios"] or DEFAULT_CLUSTER_SCENARIOS,
+        "normalizer": ("baseline",),
+        "policy": (f["policy"],),
+        "backend": (f["backend"],),
+        "tier": (_given(f, "tier_blocks", "tier_ratio", "tier_fmt") or None,),
+        "replicas": tuple(f["replicas"]),
+        "routing": tuple(f["routing"]),
+    }
+    knobs = {
+        "model_name": "opt-125m-sim",
+        # Co-locating shared prefixes is the point of affinity routing.
+        "prefix_caching": True,
+        "sessions": (12 if quick else 32) if f["sessions"] is None else f["sessions"],
+        **_given(
+            f, "rate_scale", "max_batch_size", "block_size", "prefill_budget",
+            "max_blocks", "capacity_weights", "slo_aware",
+        ),
+    }
+    return axes, knobs, {}
+
+
+def _shard_preset(f: dict, quick: bool):
+    mode = f["mode"]
+    if mode not in ("sharded", "pipeline"):
+        raise ValueError(f"unknown --mode {mode!r} (known: sharded, pipeline)")
+    f["shards"] = list(_numbers("--shards", f["shards"]))
+    f["stages"] = list(_numbers("--stages", f["stages"]))
+    f["drivers"] = list(_names(f["drivers"]))
+    f["policies"] = list(_names(f["policies"]))
+    pin = bool(f["pin_workers"])
+    if mode == "pipeline":
+        parallel = [
+            pipeline_backend(p, f["stage_shards"], driver, pin)
+            for driver in f["drivers"]
+            for p in f["stages"]
+        ]
+    else:
+        parallel = [
+            f"sharded:{n}:{driver}" + (":pin" if pin else "")
+            for driver in f["drivers"]
+            for n in f["shards"]
+        ]
+    axes = {
+        "scenario": f["scenarios"] or DEFAULT_SCENARIOS,
+        "normalizer": ("baseline",),
+        "policy": tuple(f["policies"]),
+        "backend": ("reference", *parallel),
+        "tier": (_given(f, "tier_blocks", "tier_ratio", "tier_fmt") or None,),
+    }
+    knobs = {
+        "model_name": f["model"],
+        **_given(
+            f, "max_batch_size", "rate_scale", "prefix_caching", "max_blocks",
+            "slo_aware",
+        ),
+    }
+    # The composed pipeline:P+sharded:N grid is capped at P*N <= 4 workers.
+    extras = {"scaling": True, "worker_budget": 4}
+    if f["out"] is None:
+        f["out"] = "BENCH_pipeline.json" if mode == "pipeline" else "BENCH_shard.json"
+    if mode == "pipeline" and "process" in f["drivers"]:
+        extras["pool_reuse"] = {
+            "model_name": f["model"],
+            "policy": f["policies"][0],
+            "backend": pipeline_backend(
+                max(f["stages"]), f["stage_shards"], "process", pin
+            ),
+        }
+    return axes, knobs, extras
+
+
+_TIER_FLAGS = dict(tier_blocks=None, tier_ratio=None, tier_fmt=None, slo_aware=False)
+
+#: Subcommand -> (grid builder, flag defaults).  The CLI takes its
+#: defaults from here; library callers pass the same flag names as
+#: keywords (a list flag takes a comma-separated string or a sequence).
+PRESETS = {
+    "serve-bench": (_serve_preset, dict(
+        out="BENCH_serve.json", scenarios=None, normalizers="baseline,iterl2norm",
+        policy="fp64-ref", policies=None, prefix_caching=False,
+        prefill_budget=None, max_blocks=None, block_size=None,
+        priority_mix=None, decode_strategy="one-token", ngram=None,
+        max_draft=None, copy_rate=None, backend="reference", repeats=1,
+        **_TIER_FLAGS,
+    )),
+    "cluster-bench": (_cluster_preset, dict(
+        out="BENCH_cluster.json", scenarios=None,
+        routing="round-robin,least-loaded,prefix-affinity", replicas="2",
+        sessions=None, rate_scale=4.0, max_batch_size=4,
+        capacity_weights=None, block_size=8, prefill_budget=None,
+        max_blocks=None, policy="fp64-ref", backend="reference", repeats=1,
+        **_TIER_FLAGS,
+    )),
+    "shard-bench": (_shard_preset, dict(
+        out=None, scenarios=None, mode="sharded", shards="1,2,4", stages="1,2",
+        stage_shards=1, pin_workers=False, drivers="process,sim",
+        policies="fp64-ref,bf16-fp8kv",
+        model="opt-350m-sim", max_batch_size=16, rate_scale=2.0, repeats=3,
+        prefix_caching=False, max_blocks=None, **_TIER_FLAGS,
+    )),
+}
+
+
+def _check_known(kind: str, values, known) -> None:
+    for value in values:
+        if value not in known:
+            raise ValueError(
+                f"unknown {kind} {value!r} (valid: {', '.join(sorted(known))})"
+            )
+
+
+def _check_tier(knobs: dict) -> None:
+    blocks, ratio = knobs.get("tier_blocks"), knobs.get("tier_ratio")
+    fmt = knobs.get("tier_fmt")
+    if blocks is not None and ratio is not None:
         raise ValueError("give --tier-blocks or --tier-ratio, not both")
-    if tier_blocks is not None and tier_blocks < 0:
-        raise ValueError(f"--tier-blocks must be >= 0, got {tier_blocks}")
-    if tier_ratio is not None and not 0.0 <= tier_ratio <= 1.0:
-        raise ValueError(f"--tier-ratio must be in [0, 1], got {tier_ratio}")
-    tiered = bool(tier_blocks) or bool(tier_ratio)
-    if tiered and not prefix_caching:
+    if blocks is not None and blocks < 0:
+        raise ValueError(f"--tier-blocks must be >= 0, got {blocks}")
+    if ratio is not None and not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"--tier-ratio must be in [0, 1], got {ratio}")
+    tiered = _tier_label(knobs) == "tiered"
+    if tiered and not knobs.get("prefix_caching"):
         raise ValueError("--tier-blocks/--tier-ratio require --prefix-caching")
-    if tier_ratio is not None and max_blocks is None:
+    if ratio is not None and knobs.get("max_blocks") is None:
         raise ValueError("--tier-ratio requires --max-blocks")
-    if tier_fmt is not None and not tiered:
+    if fmt is not None and not tiered:
         raise ValueError("--tier-fmt requires --tier-blocks or --tier-ratio")
-    if tier_fmt is not None:
+    if fmt is not None:
         try:
-            resolve_kv_format(tier_fmt)
+            resolve_kv_format(fmt)
         except KeyError as exc:
             raise ValueError(f"unknown --tier-fmt: {exc.args[0]}") from None
 
 
-def run_bench(
-    quick: bool = True,
+def validate(
+    axes: dict, knobs: dict, repeats: int = 1, worker_budget: int | None = None
+) -> None:
+    """The one validation pass: raise ``ValueError`` before any cell runs.
+
+    ``worker_budget`` caps the workers (P*N) of each pipeline backend.
+    """
+    grid = {**AXES, **axes}
+    _check_known("scenario", grid["scenario"], SCENARIOS)
+    _check_known("normalizer", grid["normalizer"], VARIANT_PRESETS)
+    _check_known("precision policy", grid["policy"], available_policies())
+    _check_known("decode strategy", grid["decode_strategy"], STRATEGIES)
+    _check_known("routing policy", grid["routing"], ROUTING_POLICIES)
+    model_name = knobs.get("model_name", CELL_DEFAULTS["model_name"])
+    _check_known("model", (model_name,), OPT_CONFIGS)
+    for backend in grid["backend"]:
+        validate_backend(backend, num_layers=get_config(model_name).num_layers)
+        if worker_budget and backend.startswith("pipeline:"):
+            stages, shards, _, _ = parse_pipeline_spec(backend)
+            if stages * shards > worker_budget:
+                raise ValueError(
+                    f"composed topology P={stages} x N={shards} exceeds the "
+                    f"supported worker budget (P*N <= {worker_budget})"
+                )
+    for tier in grid["tier"]:
+        _check_tier({**knobs, **(tier or {})})
+    if any(r < 1 for r in grid["replicas"]):
+        raise ValueError(
+            f"--replicas must all be >= 1, got {list(grid['replicas'])}"
+        )
+    weights = knobs.get("capacity_weights")
+    if weights is not None:
+        if any(w <= 0 for w in weights):
+            raise ValueError(f"--capacity-weights must all be > 0, got {weights}")
+        for r in grid["replicas"]:
+            if r != len(weights):
+                raise ValueError(
+                    f"--capacity-weights has {len(weights)} entries but the "
+                    f"grid sweeps R={r}; give one weight per replica"
+                )
+    positive = ("sessions", "max_batch_size", "block_size", "prefill_budget", "max_blocks")
+    for key in positive:
+        if knobs.get(key) is not None and knobs[key] < 1:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} must be >= 1, got {knobs[key]}")
+    # The workload knobs (--rate-scale, --priority-mix, --copy-rate) are
+    # checked by drawing a one-request workload of every scenario.
+    for scenario in grid["scenario"]:
+        generate_workload(
+            scenario,
+            num_requests=1,
+            vocab_size=get_config(model_name).vocab_size,
+            **{
+                k: knobs[k]
+                for k in ("rate_scale", "priority_mix", "copy_rate")
+                if k in knobs
+            },
+        )
+    if knobs.get("ngram") is not None and knobs["ngram"] < 1:
+        raise ValueError(f"--ngram must be >= 1, got {knobs['ngram']}")
+    if knobs.get("max_draft") is not None and knobs["max_draft"] < 0:
+        raise ValueError(
+            f"--max-draft must be >= 0, got {knobs['max_draft']} "
+            "(0 degrades to one-token decoding)"
+        )
+    if repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {repeats}")
+
+
+@dataclass
+class Grid:
+    """A validated bench run: axes, shared knobs, and what to write."""
+
+    axes: dict
+    knobs: dict
+    config: dict
+    quick: bool = True
+    seed: int = 0
+    repeats: int = 1
+    #: Also compare each parallel backend with its N=1/P=1 twin.
+    scaling: bool = False
+    #: :func:`measure_pool_reuse` arguments (shard-bench pipeline mode).
+    pool_reuse: dict | None = None
+    out: str = "BENCH_serve.json"
+
+    def jobs(self) -> list[Job]:
+        return jobs(
+            self.axes, quick=self.quick, seed=self.seed, repeats=self.repeats,
+            **self.knobs,
+        )
+
+
+def plan(
+    preset: str = "serve-bench", quick: bool = True, seed: int = 0, **flags
+) -> Grid:
+    """Turn a preset's flags into a validated :class:`Grid`.
+
+    This is the only place a bench raises a usage error (``ValueError``);
+    once it returns, an exception from a running cell is a bug and
+    propagates unchanged.  Comma-separated strings are accepted wherever
+    a flag takes a list.
+    """
+    builder, defaults = PRESETS[preset]
+    unknown = sorted(set(flags) - set(defaults))
+    if unknown:
+        raise TypeError(f"{preset} takes no flags {', '.join(unknown)}")
+    f = {**defaults, **flags}
+    axes, knobs, extras = builder(f, quick)
+    repeats = int(f["repeats"])
+    validate(axes, knobs, repeats, extras.pop("worker_budget", None))
+    config = {
+        "preset": preset,
+        "quick": bool(quick),
+        "seed": int(seed),
+        **{k: list(v) if isinstance(v, tuple) else v for k, v in f.items()},
+        "scenarios": sorted(axes["scenario"]),
+        "axes": {
+            a: [_label(a, v) for v in values]
+            for a, values in {**AXES, **axes}.items()
+        },
+    }
+    return Grid(
+        axes=axes, knobs=knobs, config=config, quick=quick,
+        seed=seed, repeats=repeats, out=f["out"], **extras,
+    )
+
+
+def run_grid(
+    grid: Grid,
     jobs_n: int = 1,
-    seed: int = 0,
-    out_path: str = "BENCH_serve.json",
-    scenarios=None,
-    normalizers=DEFAULT_NORMALIZERS,
     cache_dir=None,
     use_cache: bool = False,
     no_cache: bool = False,
     stream=None,
-    policy: str = "fp64-ref",
-    prefix_caching: bool = False,
-    prefill_budget: int | None = None,
-    max_blocks: int | None = None,
-    block_size: int | None = None,
-    priority_mix: str | None = None,
-    decode_strategy: str = "one-token",
-    ngram: int | None = None,
-    max_draft: int | None = None,
-    copy_rate: float | None = None,
-    backend: str = "reference",
-    policies=None,
-    repeats: int = 1,
-    tier_blocks: int | None = None,
-    tier_ratio: float | None = None,
-    tier_fmt: str | None = None,
-    slo_aware: bool = False,
 ) -> tuple[dict, str]:
-    """Run the full scenario × normalizer grid and write ``out_path``.
+    """Run every cell of ``grid``, compare twins, write ``grid.out``.
 
-    ``use_cache=False`` (default) keeps timing honest; pass ``True`` to let
-    repeated runs replay token-identical cells from the result cache
-    (``no_cache`` then skips lookups but still stores fresh results, as in
-    the experiment runner).  ``policy`` serves every cell under the named
-    precision policy; ``prefix_caching`` / ``prefill_budget`` /
-    ``max_blocks`` / ``priority_mix`` apply the scheduling knobs to every
-    cell (the normalizer column stays an orthogonal axis) — a bounded
-    ``max_blocks`` is what arms preemption, so the ``preempt`` column is
-    only ever nonzero with it.  A speculative ``decode_strategy`` turns
-    the grid into a paired comparison: every cell also runs its one-token
-    baseline (default scenarios then switch to the copy-heavy
-    :data:`SPEC_SCENARIOS`) and the payload gains ``spec_comparison``.
-    Analogously, a non-reference ``backend`` pairs every cell with its
-    reference-backend twin and the payload gains ``backend_comparison``
-    (digest equality plus throughput ratio per cell) — with ``policies``
-    the pairing sweeps each listed precision preset, which is how the
-    ``BENCH_executor.json`` artifact is produced.  ``tier_blocks`` /
-    ``tier_ratio`` arm the cold KV tier the same way: every cell gains
-    an untiered (evict-only) twin under identical traffic and the
-    payload gains ``tier_comparison`` — digest equality, the throughput
-    ratio, and the cold-tier counters — which is how the
-    ``BENCH_kv_tier.json`` artifact is produced.
+    ``use_cache=False`` (default) keeps timing honest; ``True`` lets a
+    repeated run replay token-identical cells from the result cache
+    (``no_cache`` then skips lookups but still stores fresh results).
     """
     stream = stream or sys.stdout
-    validate_backend(backend, num_layers=get_config("opt-test").num_layers)
-    validate_policies(policies if policies else (policy,))
-    validate_tier(
-        tier_blocks=tier_blocks,
-        tier_ratio=tier_ratio,
-        tier_fmt=tier_fmt,
-        prefix_caching=prefix_caching,
-        max_blocks=max_blocks,
-    )
-    if repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {repeats}")
-    if scenarios:
-        validate_scenarios(scenarios)
-    if ngram is not None and ngram < 1:
-        raise ValueError(f"--ngram must be >= 1, got {ngram}")
-    if max_draft is not None and max_draft < 0:
-        raise ValueError(
-            f"--max-draft must be >= 0, got {max_draft} "
-            "(0 degrades to one-token decoding)"
-        )
-    knobs = {}
-    if prefix_caching:
-        knobs["prefix_caching"] = True
-    if prefill_budget is not None:
-        knobs["prefill_budget"] = int(prefill_budget)
-    if max_blocks is not None:
-        knobs["max_blocks"] = int(max_blocks)
-    if block_size is not None:
-        knobs["block_size"] = int(block_size)
-    if priority_mix is not None:
-        knobs["priority_mix"] = priority_mix
-    if decode_strategy == "one-token" and (ngram is not None or max_draft is not None):
-        # Mirror resolve_strategy's guard at the grid level: a forgotten
-        # --decode-strategy must not silently discard the speculation knobs.
-        raise ValueError(
-            "--ngram/--max-draft require --decode-strategy prompt-lookup"
-        )
-    if ngram is not None:
-        knobs["ngram"] = int(ngram)
-    if max_draft is not None:
-        knobs["max_draft"] = int(max_draft)
-    if copy_rate is not None:
-        knobs["copy_rate"] = float(copy_rate)
-    if decode_strategy == "one-token":
-        strategies = ("one-token",)
-    else:
-        # Paired baseline per cell, and a copy-heavy default grid.
-        strategies = ("one-token", decode_strategy)
-        if scenarios is None:
-            scenarios = SPEC_SCENARIOS
-    if backend == "reference":
-        backends = ("reference",)
-    else:
-        # Paired reference twin per cell: backend_comparison proves digest
-        # equality and measures the uplift against identical traffic.
-        backends = ("reference", backend)
-    if tier_blocks or tier_ratio:
-        # Paired evict-only twin per cell: tier_comparison proves digest
-        # equality and measures the tiering uplift under identical traffic.
-        tier = {"slo_aware": bool(slo_aware)}
-        if tier_blocks is not None:
-            tier["tier_blocks"] = int(tier_blocks)
-        if tier_ratio is not None:
-            tier["tier_ratio"] = float(tier_ratio)
-        if tier_fmt is not None:
-            tier["tier_fmt"] = tier_fmt
-        tiers = (None, tier)
-    else:
-        tiers = (None,)
-    declared = jobs(
-        quick=quick, seed=seed, scenarios=scenarios, normalizers=normalizers,
-        policy=policy, decode_strategies=strategies, policies=policies,
-        backends=backends, repeats=repeats, tiers=tiers, **knobs,
-    )
     cache = ResultCache(cache_dir) if use_cache else None
     outcomes = run_jobs(
-        declared, max_workers=jobs_n, cache=cache, no_cache=no_cache, stream=sys.stderr
+        grid.jobs(), max_workers=jobs_n, cache=cache, no_cache=no_cache,
+        stream=sys.stderr,
     )
-
     results = [outcome.rows for outcome in outcomes]
-    lines = [
-        "scenario       normalizer   strategy      backend        tokens/s"
-        "       TTFT p50 /    p99        ITL p50   queue   pool      prefix"
-        "    preempt    speculation",
-    ]
-    lines += [outcome.text for outcome in outcomes]
-    payload = {
-        "config": {
-            "quick": bool(quick),
-            "seed": int(seed),
-            "scenarios": sorted({row["scenario"] for row in results}),
-            "normalizers": list(normalizers),
-            "policy": policy,
-            "prefix_caching": bool(prefix_caching),
-            "prefill_budget": prefill_budget,
-            "max_blocks": max_blocks,
-            "priority_mix": priority_mix,
-            "decode_strategy": decode_strategy,
-            "ngram": ngram,
-            "max_draft": max_draft,
-            "copy_rate": copy_rate,
-            "backend": backend,
-            "policies": list(policies) if policies else None,
-            "repeats": int(repeats),
-            "tier_blocks": tier_blocks,
-            "tier_ratio": tier_ratio,
-            "tier_fmt": tier_fmt,
-            "slo_aware": bool(slo_aware),
-            "model": results[0]["model"] if results else None,
-            "max_batch_size": results[0]["max_batch_size"] if results else None,
-        },
-        "results": results,
-        "comparison": _comparison(results),
-        "spec_comparison": _spec_comparison(results),
-        "backend_comparison": _backend_comparison(results),
-        "tier_comparison": _tier_comparison(results),
+    comparisons = {
+        axis: twin_comparison(results, axis, base) for axis, base in BASELINES.items()
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
+    if grid.scaling:
+        comparisons["scaling"] = twin_comparison(results, "backend", parallel_twin)
+    payload = {"config": grid.config, "results": results, "comparisons": comparisons}
+    lines = [HEADER, *(outcome.text for outcome in outcomes)]
+    if grid.pool_reuse:
+        reuse = measure_pool_reuse(seed=grid.seed, **grid.pool_reuse)
+        payload["pool_reuse"] = reuse
+        lines.append(
+            f"pool reuse: cold prepare {reuse['cold_prepare_s'] * 1e3:.1f} ms, "
+            f"warm {reuse['warm_prepare_s'] * 1e3:.1f} ms ({reuse['speedup']:.1f}x)"
+        )
+    with open(grid.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    lines.append(f"wrote {out_path}")
+    # Every axis but the normalizer is timing-only: its twins must match.
+    paired = [
+        entry["tokens_match"]
+        for axis, comparison in comparisons.items()
+        if axis != "normalizer"
+        for cell in comparison.values()
+        for entry in cell.values()
+    ]
+    lines.append(
+        f"digest mismatches: {paired.count(False)} across {len(paired)} paired cells"
+    )
+    lines.append(f"wrote {grid.out}")
     text = "\n".join(lines)
     stream.write(text + "\n")
     return payload, text
+

@@ -1,19 +1,20 @@
-"""Cluster benchmark harness: cells, job declaration, JSON, flag guards."""
+"""The cluster-bench preset: replica x routing cells, grid, JSON, flag guards."""
 
+import io
 import json
 
 import pytest
 
-from repro.cluster.bench import jobs, run_cluster_bench, run_cluster_cell
+from repro.serve.bench import plan, run_grid, run_scenario
 
 #: Tiny-cell settings every test uses: the unit suite measures harness
 #: behavior, not throughput, so it runs the test model at small scale.
-TINY = dict(quick=True, sessions=3, model_name="opt-test", seed=0)
+TINY = dict(quick=True, sessions=3, model_name="opt-test", seed=0, prefix_caching=True)
 
 
-class TestRunClusterCell:
+class TestClusterCell:
     def test_rows_and_text(self):
-        rows, text = run_cluster_cell(
+        rows, text = run_scenario(
             scenario="chat-multiturn", routing="prefix-affinity", replicas=2, **TINY
         )
         assert rows["scenario"] == "chat-multiturn"
@@ -29,7 +30,7 @@ class TestRunClusterCell:
 
     def test_digest_identical_across_routings(self):
         digests = {
-            routing: run_cluster_cell(
+            routing: run_scenario(
                 scenario="agent-fanout", routing=routing, replicas=2, **TINY
             )[0]["token_digest"]
             for routing in ("round-robin", "least-loaded", "prefix-affinity")
@@ -38,7 +39,7 @@ class TestRunClusterCell:
 
     def test_digest_identical_across_replica_counts(self):
         digests = {
-            r: run_cluster_cell(
+            r: run_scenario(
                 scenario="chat-multiturn", routing="round-robin", replicas=r, **TINY
             )[0]["token_digest"]
             for r in (1, 2, 4)
@@ -47,131 +48,88 @@ class TestRunClusterCell:
 
     def test_unknown_routing_rejected(self):
         with pytest.raises(KeyError, match="prefix-affinity"):
-            run_cluster_cell(routing="sticky-hash", **TINY)
+            run_scenario(routing="sticky-hash", **TINY)
 
 
-class TestJobs:
+class TestGrid:
     def test_grid_declaration(self):
-        declared = jobs(quick=True, seed=3, replicas=(2, 4))
+        declared = plan("cluster-bench", quick=True, seed=3, replicas="2,4").jobs()
         # 2 scenarios x 2 replica counts x 3 routings
         assert len(declared) == 12
         names = {job.name for job in declared}
-        assert "cluster[chat-multiturn/R2/round-robin]" in names
-        assert "cluster[agent-fanout/R4/prefix-affinity]" in names
+        assert "bench[chat-multiturn/R2/round-robin]" in names
+        assert "bench[agent-fanout/R4/prefix-affinity]" in names
         for job in declared:
-            assert job.target == "repro.cluster.bench:run_cluster_cell"
+            assert job.target == "repro.serve.bench:run_cell"
             assert job.seed == 3
+            assert job.params["prefix_caching"] is True
+            assert job.params["sessions"] == 12
 
     def test_jobs_resolve_and_hash(self):
-        job = jobs(quick=True)[0]
+        job = plan("cluster-bench").jobs()[0]
         assert callable(job.resolve())
         assert len(job.config_hash("v0")) == 64
-
-    def test_unknown_scenario_and_routing_rejected(self):
-        with pytest.raises(KeyError, match="scenario"):
-            jobs(quick=True, scenarios=("nope",))
-        with pytest.raises(KeyError, match="routing"):
-            jobs(quick=True, routings=("nope",))
-        with pytest.raises(ValueError, match="replica"):
-            jobs(quick=True, replicas=(0,))
 
 
 class TestRunClusterBench:
     def test_writes_json_with_comparison(self, tmp_path):
         out = tmp_path / "BENCH_cluster.json"
-        payload, text = run_cluster_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
+        grid = plan(
+            "cluster-bench", quick=True, seed=0, out=str(out),
             scenarios=("chat-multiturn",),
-            routings=("round-robin", "prefix-affinity"),
-            replicas=(2,),
-            sessions=3,
-            stream=open("/dev/null", "w"),
+            routing="round-robin,prefix-affinity", replicas="2", sessions=3,
         )
+        payload, text = run_grid(grid, stream=io.StringIO())
         assert out.exists()
         on_disk = json.loads(out.read_text())
-        assert on_disk["config"]["routings"] == ["round-robin", "prefix-affinity"]
+        assert on_disk["config"]["routing"] == ["round-robin", "prefix-affinity"]
+        assert on_disk["config"]["replicas"] == [2]
         assert len(on_disk["results"]) == 2
-        cell = on_disk["comparison"]["chat-multiturn/R2"]["prefix-affinity"]
-        assert cell["tokens_match"] is True
-        assert cell["prefix_hit_rate"] >= cell["baseline_prefix_hit_rate"]
-        assert cell["tokens_per_second_ratio"] > 0
+        entry = on_disk["comparisons"]["routing"]["chat-multiturn"]["prefix-affinity"]
+        assert entry["tokens_match"] is True
+        assert entry["tokens_per_second_ratio"] > 0
+        by_routing = {r["routing"]: r for r in on_disk["results"]}
+        assert (
+            by_routing["prefix-affinity"]["cluster"]["prefix_hit_rate"]
+            >= by_routing["round-robin"]["cluster"]["prefix_hit_rate"]
+        )
         assert "wrote" in text
 
-    def test_unknown_routing_rejected_up_front(self, tmp_path):
-        with pytest.raises(ValueError, match="--routing"):
-            run_cluster_bench(
-                quick=True, seed=0, out_path=str(tmp_path / "x.json"),
-                routings=("consistent-hash",), stream=open("/dev/null", "w"),
-            )
-
-    def test_bad_replicas_rejected_up_front(self, tmp_path):
-        with pytest.raises(ValueError, match="--replicas"):
-            run_cluster_bench(
-                quick=True, seed=0, out_path=str(tmp_path / "x.json"),
-                replicas=(2, 0), stream=open("/dev/null", "w"),
-            )
-
-    def test_unknown_policy_rejected_up_front(self, tmp_path):
-        with pytest.raises(ValueError, match="precision policy"):
-            run_cluster_bench(
-                quick=True, seed=0, out_path=str(tmp_path / "x.json"),
-                policy="fp7-magic", stream=open("/dev/null", "w"),
-            )
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (dict(routing="consistent-hash"), "routing policy"),
+            (dict(replicas="2,0"), "--replicas"),
+            (dict(policy="fp7-magic"), "precision policy"),
+            (dict(sessions=0), "--sessions"),
+        ],
+    )
+    def test_flag_mistakes_rejected_up_front(self, flags, match):
+        with pytest.raises(ValueError, match=match):
+            plan("cluster-bench", **flags)
 
 
 class TestCLIGuards:
     """Flag mistakes exit with a one-line preset-listing message."""
 
-    def test_cluster_bench_unknown_routing(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, prefix, needle",
+        [
+            (["--routing", "round-robin,consistent-hash"], "cluster-bench:", "prefix-affinity"),
+            (["--replicas", "two"], "cluster-bench: --replicas", ""),
+            (["--policy", "fp7-magic"], "cluster-bench:", "fp64-ref"),
+            (["--capacity-weights", "2,zero"], "cluster-bench:", "capacity-weights"),
+            (["--replicas", "3", "--capacity-weights", "2,1"], "cluster-bench:", "one weight per replica"),
+            (["--backend", "pipeline:0"], "cluster-bench:", "stage count"),
+            (["--backend", "pipeline:2:gpu"], "cluster-bench:", "driver"),
+            (["--backend", "pipeline:99"], "cluster-bench:", "decoder layers"),
+        ],
+    )
+    def test_usage_errors(self, tmp_path, argv, prefix, needle):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--routing", "round-robin,consistent-hash",
-            ])
+            main(["cluster-bench", "--quick", "--out", str(tmp_path / "x.json"), *argv])
         message = str(excinfo.value)
-        assert message.startswith("cluster-bench:")
-        assert "prefix-affinity" in message  # lists the valid presets
-
-    def test_cluster_bench_bad_replicas(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--replicas", "two",
-            ])
-        assert str(excinfo.value).startswith("cluster-bench: --replicas")
-
-    def test_cluster_bench_unknown_precision_policy(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--policy", "fp7-magic",
-            ])
-        message = str(excinfo.value)
-        assert message.startswith("cluster-bench:")
-        assert "fp64-ref" in message  # lists the valid presets
-
-    def test_serve_bench_unknown_policies_preset(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--scenarios", "steady",
-                "--policies", "fp64-ref,fp12-mystery",
-            ])
-        message = str(excinfo.value)
-        assert message.startswith("serve-bench:")
-        assert "fp12-mystery" in message
-        assert "bf16-fp8kv" in message  # lists the valid presets
+        assert message.startswith(prefix)
+        assert needle in message

@@ -1,11 +1,44 @@
-"""Benchmark harness: scenario cells, engine-job declaration, JSON output."""
+"""The one bench harness: cell, grid, repeats, validation, comparison, JSON."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.serve.bench import DEFAULT_NORMALIZERS, jobs, run_bench, run_scenario
+from repro.serve import bench
+from repro.serve.bench import (
+    AXES,
+    DEFAULT_NORMALIZERS,
+    jobs,
+    plan,
+    run_cell,
+    run_grid,
+    run_scenario,
+    twin_comparison,
+    validate,
+)
+
+
+
+def run_bench(preset="serve-bench", **flags):
+    return run_grid(plan(preset, **flags), stream=io.StringIO())
+
+
+def fake_row(tps=100.0, digest="ok", steps=10, **identity):
+    """A row with every identity field (defaults from AXES) and the metrics
+    twin_comparison reads."""
+    row = {axis: values[0] for axis, values in AXES.items()}
+    row["tier"] = "untiered"
+    row.update(identity)
+    row["token_digest"] = digest
+    row["metrics"] = {
+        "tokens_per_second": tps,
+        "steps": steps,
+        "tokens_generated": 50,
+        "prefill_tokens_computed": 40,
+    }
+    return row
 
 
 class TestRunScenario:
@@ -15,9 +48,18 @@ class TestRunScenario:
         )
         assert rows["scenario"] == "steady"
         assert rows["normalizer"] == "baseline"
+        assert rows["num_requests"] == 4
         assert rows["metrics"]["requests_completed"] == 4
         assert rows["metrics"]["tokens_per_second"] > 0
         assert rows["pool"]["blocks_in_use"] == 0
+        # One schema: identity fields plus cluster and executor records.
+        for axis in AXES:
+            assert axis in rows
+        assert (rows["tier"], rows["replicas"], rows["routing"]) == (
+            "untiered", 1, "round-robin"
+        )
+        assert rows["cluster"]["replicas"] == 1
+        assert rows["executor_stats"] is None
         assert "steady" in text and "tok/s" in text
         json.dumps(rows)  # engine-cacheable: must be JSON-serializable
 
@@ -34,6 +76,10 @@ class TestRunScenario:
     def test_unknown_normalizer(self):
         with pytest.raises(KeyError):
             run_scenario(normalizer="nope")
+
+    def test_unknown_knob(self):
+        with pytest.raises(TypeError, match="num_reqs"):
+            run_scenario(num_reqs=3)
 
 
 class TestPolicyAxis:
@@ -52,7 +98,6 @@ class TestPolicyAxis:
 
     def test_normalizer_fmt_follows_quantized_policy(self, monkeypatch):
         """Under --policy the variants drop their hardcoded fp16 format."""
-        import repro.serve.bench as bench_mod
         from repro.nn.model import OPTLanguageModel
 
         seen = {}
@@ -63,12 +108,12 @@ class TestPolicyAxis:
             return original(self, method, fmt=fmt, **kwargs)
 
         monkeypatch.setattr(OPTLanguageModel, "replace_layernorm", spy)
-        bench_mod.run_scenario(
+        run_scenario(
             scenario="steady", normalizer="iterl2norm", quick=True,
             num_requests=2, seed=0, policy="bf16",
         )
         assert seen["fmt"] == "bf16"
-        bench_mod.run_scenario(
+        run_scenario(
             scenario="steady", normalizer="iterl2norm", quick=True,
             num_requests=2, seed=0,
         )
@@ -116,16 +161,16 @@ class TestSchedulingKnobs:
 
     def test_knob_jobs_carry_params(self):
         declared = jobs(
-            quick=True, scenarios=("chat-multiturn",),
-            normalizers=("baseline",), prefix_caching=True, prefill_budget=16,
+            {"scenario": ("chat-multiturn",), "normalizer": ("baseline",)},
+            quick=True, prefix_caching=True, prefill_budget=16,
         )
         assert len(declared) == 1
         assert declared[0].params["prefix_caching"] is True
         assert declared[0].params["prefill_budget"] == 16
 
-    def test_unknown_scenario_rejected_at_declaration(self):
-        with pytest.raises(KeyError):
-            jobs(quick=True, scenarios=("nope",))
+    def test_unknown_scenario_rejected_before_declaration(self):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            plan("serve-bench", scenarios=("nope",))
 
 
 class TestJobs:
@@ -133,16 +178,27 @@ class TestJobs:
         declared = jobs(quick=True, seed=3)
         assert len(declared) == 4 * len(DEFAULT_NORMALIZERS)
         names = {job.name for job in declared}
-        assert "serve[steady/baseline/one-token]" in names
-        assert "serve[codegen/iterl2norm/one-token]" in names
+        assert "bench[steady/baseline]" in names
+        assert "bench[codegen/iterl2norm]" in names
         for job in declared:
-            assert job.target == "repro.serve.bench:run_scenario"
+            assert job.target == "repro.serve.bench:run_cell"
+            assert job.params["repeats"] == 1
             assert job.seed == 3
 
     def test_jobs_resolve_and_hash(self):
         job = jobs(quick=True)[0]
         assert callable(job.resolve())
         assert len(job.config_hash("v0")) == 64
+
+    def test_axes_multiply(self):
+        declared = plan(
+            "serve-bench", scenarios=("steady", "chat"), normalizers="baseline",
+            policies="fp64-ref,bf16", backend="compiled",
+            decode_strategy="prompt-lookup",
+        ).jobs()
+        # 2 scenarios x 2 policies x 2 strategies x 2 backends
+        assert len(declared) == 16
+        assert len({job.name for job in declared}) == 16
 
 
 class TestDecodeStrategyAxis:
@@ -188,8 +244,9 @@ class TestDecodeStrategyAxis:
 
     def test_spec_jobs_pair_baselines(self):
         declared = jobs(
-            quick=True, scenarios=("summarize-copy",), normalizers=("baseline",),
-            decode_strategies=("one-token", "prompt-lookup"), ngram=3, max_draft=4,
+            {"scenario": ("summarize-copy",), "normalizer": ("baseline",),
+             "decode_strategy": ("one-token", "prompt-lookup")},
+            ngram=3, max_draft=4,
         )
         assert len(declared) == 2
         by_strategy = {job.params["decode_strategy"]: job for job in declared}
@@ -197,36 +254,26 @@ class TestDecodeStrategyAxis:
         assert by_strategy["prompt-lookup"].params["ngram"] == 3
 
     def test_spec_bench_comparison(self, tmp_path):
-        out = tmp_path / "BENCH_serve_spec.json"
         payload, _ = run_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
-            scenarios=("summarize-copy",),
-            normalizers=("baseline",),
+            quick=True, seed=0, out=str(tmp_path / "BENCH_serve_spec.json"),
+            scenarios=("summarize-copy",), normalizers="baseline",
             decode_strategy="prompt-lookup",
-            stream=open("/dev/null", "w"),
         )
-        cell = payload["spec_comparison"]["summarize-copy/baseline"]["prompt-lookup"]
+        cell = payload["comparisons"]["decode_strategy"]["summarize-copy"][
+            "prompt-lookup"
+        ]
         assert cell["tokens_match"] is True
-        assert cell["acceptance_rate"] > 0
-        assert cell["decode_tokens_per_step"] > 1.0
         assert cell["steps_ratio"] < 1.0
         assert len(payload["results"]) == 2  # paired baseline ran too
-
-    def test_spec_bench_defaults_to_copy_grid(self, tmp_path):
-        from repro.serve.bench import SPEC_SCENARIOS
-
-        out = tmp_path / "spec.json"
-        payload, _ = run_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
-            normalizers=("baseline",),
-            decode_strategy="prompt-lookup",
-            stream=open("/dev/null", "w"),
+        spec = next(
+            r for r in payload["results"] if r["decode_strategy"] == "prompt-lookup"
         )
-        assert set(payload["config"]["scenarios"]) == set(SPEC_SCENARIOS)
+        assert spec["metrics"]["acceptance_rate"] > 0
+        assert spec["metrics"]["decode_tokens_per_step"] > 1.0
+
+    def test_spec_bench_defaults_to_copy_grid(self):
+        grid = plan("serve-bench", normalizers="baseline", decode_strategy="prompt-lookup")
+        assert set(grid.config["scenarios"]) == set(bench.SPEC_SCENARIOS)
 
 
 class TestRepeats:
@@ -237,8 +284,6 @@ class TestRepeats:
         )
 
     def test_best_of_n_keeps_fastest_repeat(self, monkeypatch):
-        import repro.serve.bench as bench_mod
-
         speeds = iter([10.0, 30.0, 20.0])
         calls = []
 
@@ -246,77 +291,58 @@ class TestRepeats:
             calls.append(params)
             return self._stub_rows(next(speeds))
 
-        monkeypatch.setattr(bench_mod, "run_scenario", stub)
-        rows, _ = bench_mod.run_serve_cell(repeats=3, scenario="steady")
+        monkeypatch.setattr(bench, "run_scenario", stub)
+        rows, _ = run_cell(repeats=3, scenario="steady")
         assert len(calls) == 3
         assert rows["metrics"]["tokens_per_second"] == 30.0
         assert rows["repeats"] == 3
 
-    def test_digest_drift_across_repeats_aborts(self, monkeypatch):
-        import repro.serve.bench as bench_mod
+    def test_digest_drift_aborts_at_the_first_drifting_repeat(self, monkeypatch):
+        digests = iter(["d0", "d1", "d1"])
+        calls = []
 
-        digests = iter(["d0", "d1"])
-        monkeypatch.setattr(
-            bench_mod,
-            "run_scenario",
-            lambda **params: self._stub_rows(1.0, digest=next(digests)),
-        )
+        def stub(**params):
+            calls.append(params)
+            return self._stub_rows(1.0, digest=next(digests))
+
+        monkeypatch.setattr(bench, "run_scenario", stub)
         with pytest.raises(RuntimeError, match="no longer deterministic"):
-            bench_mod.run_serve_cell(repeats=2, scenario="steady")
+            run_cell(repeats=3, scenario="steady")
+        assert len(calls) == 2
 
     def test_repeats_must_be_positive(self):
-        from repro.serve.bench import run_serve_cell
-
         with pytest.raises(ValueError, match="repeats"):
-            run_serve_cell(repeats=0, scenario="steady")
+            run_cell(repeats=0, scenario="steady")
 
-    def test_jobs_route_through_repeat_wrapper(self):
-        declared = jobs(
-            quick=True, scenarios=("steady",), normalizers=("baseline",),
-            repeats=3,
+    @pytest.mark.parametrize("backend", ["reference", "sharded:2:sim"])
+    def test_real_cell_is_deterministic_and_serializable(self, backend):
+        rows, _ = run_cell(
+            repeats=2, scenario="steady", quick=True, num_requests=3,
+            model_name="opt-test", backend=backend,
         )
-        assert declared[0].target == "repro.serve.bench:run_serve_cell"
-        assert declared[0].params["repeats"] == 3
-        single = jobs(
-            quick=True, scenarios=("steady",), normalizers=("baseline",),
-        )
-        assert single[0].target == "repro.serve.bench:run_scenario"
+        assert rows["backend"] == backend
+        assert rows["repeats"] == 2
+        json.dumps(rows)
 
-    def test_run_bench_records_repeats_and_stays_exact(self, tmp_path):
-        out = tmp_path / "bench.json"
+    def test_run_bench_records_repeats(self, tmp_path):
         payload, _ = run_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
-            scenarios=("steady",),
-            normalizers=("baseline",),
-            repeats=2,
-            stream=open("/dev/null", "w"),
+            quick=True, seed=0, out=str(tmp_path / "bench.json"),
+            scenarios=("steady",), normalizers="baseline", repeats=2,
         )
         assert payload["config"]["repeats"] == 2
         assert payload["results"][0]["repeats"] == 2
 
     def test_run_bench_rejects_bad_repeats(self, tmp_path):
         with pytest.raises(ValueError, match="--repeats"):
-            run_bench(
-                quick=True,
-                seed=0,
-                out_path=str(tmp_path / "x.json"),
-                repeats=0,
-                stream=open("/dev/null", "w"),
-            )
+            run_bench(out=str(tmp_path / "x.json"), repeats=0)
 
 
 class TestRunBench:
     def test_writes_json_with_all_scenarios(self, tmp_path):
         out = tmp_path / "BENCH_serve.json"
         payload, text = run_bench(
-            quick=True,
-            jobs_n=1,
-            seed=0,
-            out_path=str(out),
-            normalizers=("baseline",),
-            stream=open("/dev/null", "w"),
+            quick=True, seed=0, out=str(out), normalizers="baseline",
+           
         )
         assert out.exists()
         on_disk = json.loads(out.read_text())
@@ -329,21 +355,17 @@ class TestRunBench:
             assert "max" in metrics["queue_depth"]
             assert row["pool"]["blocks_allocated"] > 0
         assert "wrote" in text
+        assert "digest mismatches: 0" in text
 
-    def test_comparison_section(self, tmp_path):
-        out = tmp_path / "bench.json"
+    def test_normalizer_comparison(self, tmp_path):
         payload, _ = run_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
-            scenarios=("steady",),
-            normalizers=("baseline", "exact"),
-            stream=open("/dev/null", "w"),
+            quick=True, seed=0, out=str(tmp_path / "bench.json"),
+            scenarios=("steady",), normalizers="baseline,exact",
         )
-        comparison = payload["comparison"]["steady"]["exact"]
-        assert comparison["tokens_per_second_ratio"] > 0
-        assert np.isfinite(comparison["ttft_p50_delta_s"])
-        assert isinstance(comparison["tokens_generated_delta"], int)
+        entry = payload["comparisons"]["normalizer"]["steady"]["exact"]
+        assert entry["tokens_per_second_ratio"] > 0
+        assert np.isfinite(entry["baseline_tokens_per_second"])
+        assert isinstance(entry["tokens_generated_delta"], int)
 
 
 class TestBackendAxis:
@@ -365,216 +387,243 @@ class TestBackendAxis:
         json.dumps(comp)
 
     def test_backend_jobs_pair_reference_twins(self):
-        declared = jobs(
-            quick=True, scenarios=("steady",), normalizers=("baseline",),
-            backends=("reference", "compiled"),
-        )
+        declared = plan(
+            "serve-bench", scenarios=("steady",), normalizers="baseline",
+            backend="compiled",
+        ).jobs()
         assert len(declared) == 2
         by_backend = {job.params["backend"]: job for job in declared}
         assert set(by_backend) == {"reference", "compiled"}
-        assert by_backend["compiled"].name.endswith("[compiled]")
-
-    def test_backend_bench_comparison(self, tmp_path):
-        out = tmp_path / "BENCH_executor.json"
-        payload, _ = run_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
-            scenarios=("steady",),
-            normalizers=("baseline",),
-            backend="compiled",
-            stream=open("/dev/null", "w"),
-        )
-        assert payload["config"]["backend"] == "compiled"
-        assert len(payload["results"]) == 2  # paired reference twin ran too
-        cell = payload["backend_comparison"]["steady/baseline/fp64-ref"]["compiled"]
-        assert cell["tokens_match"] is True
-        assert cell["tokens_per_second"] > 0
-        assert cell["reference_tokens_per_second"] > 0
-        assert cell["tokens_per_second_ratio"] > 0
+        assert by_backend["compiled"].name == "bench[steady/compiled]"
 
     def test_policies_sweep_keys_comparison_per_preset(self, tmp_path):
-        out = tmp_path / "BENCH_executor.json"
         payload, _ = run_bench(
-            quick=True,
-            seed=0,
-            out_path=str(out),
-            scenarios=("steady",),
-            normalizers=("baseline",),
-            backend="compiled",
-            policies=("fp64-ref", "bf16-fp8kv"),
-            stream=open("/dev/null", "w"),
+            quick=True, seed=0, out=str(tmp_path / "BENCH_executor.json"),
+            scenarios=("steady",), normalizers="baseline", backend="compiled",
+            policies="fp64-ref,bf16-fp8kv",
         )
-        comparison = payload["backend_comparison"]
-        assert set(comparison) == {
-            "steady/baseline/fp64-ref", "steady/baseline/bf16-fp8kv"
-        }
+        assert payload["config"]["backend"] == "compiled"
+        assert len(payload["results"]) == 4  # paired reference twins ran too
+        comparison = payload["comparisons"]["backend"]
+        assert set(comparison) == {"steady/fp64-ref", "steady/bf16-fp8kv"}
         for cell in comparison.values():
-            assert cell["compiled"]["tokens_match"] is True
+            entry = cell["compiled"]
+            assert entry["tokens_match"] is True
+            assert entry["tokens_per_second"] > 0
+            assert entry["baseline_tokens_per_second"] > 0
 
 
-class TestKnobGuards:
-    def test_spec_knobs_without_strategy_rejected(self, tmp_path):
-        from repro.serve.bench import run_bench as rb
+class TestTwinComparison:
+    def test_entry_fields_and_ratios(self):
+        rows = [
+            fake_row(backend="reference", tps=100.0, steps=10),
+            fake_row(backend="compiled", tps=150.0, steps=5),
+        ]
+        entry = twin_comparison(rows, "backend", "reference")["steady"]["compiled"]
+        assert set(entry) == {
+            "tokens_match", "tokens_per_second", "baseline_tokens_per_second",
+            "tokens_per_second_ratio", "steps_ratio", "tokens_generated_delta",
+            "prefill_tokens_computed_delta",
+        }
+        assert entry["tokens_match"] is True
+        assert entry["tokens_per_second_ratio"] == pytest.approx(1.5)
+        assert entry["steps_ratio"] == pytest.approx(0.5)
 
+    def test_backend_by_tier_grid_pairs_every_row(self):
+        """Every tiered row meets its untiered twin, and every compiled row
+        — tiered or not — its reference twin (no cell is overwritten)."""
+        rows = [
+            fake_row(backend=backend, tier=tier, digest=f"{backend}/{tier}")
+            for backend in ("reference", "compiled")
+            for tier in ("untiered", "tiered")
+        ]
+        tier = twin_comparison(rows, "tier", "untiered")
+        assert set(tier) == {"steady/reference", "steady/compiled"}
+        backend = twin_comparison(rows, "backend", "reference")
+        assert set(backend) == {"steady/untiered", "steady/tiered"}
+        # The digests here all differ, so every pairing reports a mismatch.
+        for comparison in (tier, backend):
+            for cell in comparison.values():
+                assert [e["tokens_match"] for e in cell.values()] == [False]
+
+    def test_backend_by_tier_grid_end_to_end(self, tmp_path):
+        payload, text = run_bench(
+            quick=True, seed=0, out=str(tmp_path / "tier.json"),
+            scenarios=("agent-tree",), normalizers="baseline",
+            prefix_caching=True, block_size=8, max_blocks=11, tier_blocks=48,
+            backend="compiled",
+        )
+        assert len(payload["results"]) == 4
+        comparisons = payload["comparisons"]
+        tier = comparisons["tier"]
+        assert set(tier) == {"agent-tree/reference", "agent-tree/compiled"}
+        backend = comparisons["backend"]
+        assert set(backend) == {"agent-tree/untiered", "agent-tree/tiered"}
+        for comparison in (tier, backend):
+            for cell in comparison.values():
+                assert all(e["tokens_match"] for e in cell.values())
+        assert "digest mismatches: 0 across 4 paired cells" in text
+
+    def test_cell_key_lists_every_varying_axis(self):
+        rows = [
+            fake_row(policy=policy, normalizer=norm, routing=routing)
+            for policy in ("fp64-ref", "bf16")
+            for norm in ("baseline",)
+            for routing in ("round-robin", "prefix-affinity")
+        ]
+        comparison = twin_comparison(rows, "routing", "round-robin")
+        assert set(comparison) == {"steady/fp64-ref", "steady/bf16"}
+        assert set(comparison["steady/bf16"]) == {"prefix-affinity"}
+
+    def test_rows_without_a_twin_are_skipped(self):
+        rows = [fake_row(backend="compiled")]
+        assert twin_comparison(rows, "backend", "reference") == {}
+
+
+class TestValidation:
+    """One pass checks every axis value and knob before any cell runs."""
+
+    @pytest.mark.parametrize(
+        "axes, knobs, match",
+        [
+            ({"scenario": ("agent-forest",)}, {}, "agent-forest"),
+            ({"normalizer": ("iterl2nrom",)}, {}, "unknown normalizer"),
+            ({"policy": ("fp12-mystery",)}, {}, "bf16-fp8kv"),
+            ({"routing": ("consistent-hash",)}, {}, "prefix-affinity"),
+            ({"backend": ("vectorized",)}, {}, "--backend"),
+            ({"backend": ("pipeline:99",)}, {}, "decoder layers"),
+            ({"replicas": (2, 0)}, {}, "--replicas"),
+            ({}, {"model_name": "opt-9b"}, "unknown model"),
+            ({}, {"sessions": 0}, "--sessions"),
+            ({}, {"ngram": 0}, "--ngram"),
+            ({}, {"max_draft": -1}, "--max-draft"),
+            ({"replicas": (3,)}, {"capacity_weights": [2.0, 1.0]}, "one weight per replica"),
+            ({"replicas": (2,)}, {"capacity_weights": [2.0, 0.0]}, "> 0"),
+        ],
+    )
+    def test_rejections(self, axes, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            validate(axes, knobs)
+
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            (dict(tier_blocks=8, tier_ratio=0.5, prefix_caching=True), "not both"),
+            (dict(tier_blocks=-1, prefix_caching=True), "--tier-blocks"),
+            (dict(tier_ratio=1.5, prefix_caching=True, max_blocks=8), r"\[0, 1\]"),
+            (dict(tier_blocks=8), "--prefix-caching"),
+            (dict(tier_ratio=0.5, prefix_caching=True), "--max-blocks"),
+            (dict(tier_fmt="fp8_e4m3", prefix_caching=True), "--tier-fmt"),
+            (dict(tier_blocks=8, tier_fmt="int7", prefix_caching=True), "--tier-fmt"),
+        ],
+    )
+    def test_tier_rejections(self, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            validate({}, knobs)
+
+    def test_all_clear(self):
+        validate({}, {})
+        validate({}, dict(tier_blocks=8, prefix_caching=True))
+        validate({}, dict(tier_ratio=0.25, prefix_caching=True, max_blocks=16))
+
+    def test_spec_knobs_without_strategy_rejected(self):
         with pytest.raises(ValueError, match="decode-strategy"):
-            rb(
-                quick=True,
-                seed=0,
-                out_path=str(tmp_path / "x.json"),
-                scenarios=("steady",),
-                normalizers=("baseline",),
-                max_draft=8,
-                stream=open("/dev/null", "w"),
-            )
+            plan("serve-bench", max_draft=8)
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="--backend"):
-            run_bench(
-                quick=True, seed=0, out_path=str(tmp_path / "x.json"),
-                scenarios=("steady",), normalizers=("baseline",),
-                backend="vectorized", stream=open("/dev/null", "w"),
-            )
+    def test_unknown_flag_is_a_type_error(self):
+        with pytest.raises(TypeError, match="routing"):
+            plan("serve-bench", routing="round-robin")
 
-    def test_bad_speculation_knobs_rejected_up_front(self, tmp_path):
-        with pytest.raises(ValueError, match="--ngram"):
-            run_bench(
-                quick=True, seed=0, out_path=str(tmp_path / "x.json"),
-                scenarios=("steady",), normalizers=("baseline",),
-                decode_strategy="prompt-lookup", ngram=0,
-                stream=open("/dev/null", "w"),
-            )
-        with pytest.raises(ValueError, match="--max-draft"):
-            run_bench(
-                quick=True, seed=0, out_path=str(tmp_path / "x.json"),
-                scenarios=("steady",), normalizers=("baseline",),
-                decode_strategy="prompt-lookup", max_draft=-1,
-                stream=open("/dev/null", "w"),
-            )
 
-    def test_cli_turns_flag_mistakes_into_usage_errors(self, tmp_path, capsys):
-        """A bad flag combination exits with a one-line message, not a
-        traceback (the satellite hardening for serve-bench)."""
+class TestCLI:
+    """Usage errors come from the validation pass only, as one line."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["serve-bench", "--decode-strategy", "prompt-lookup", "--ngram", "0"], "--ngram"),
+            (["serve-bench", "--tier-blocks", "8"], "--prefix-caching"),
+            (["serve-bench", "--scenarios", "agent-forest"], "agent-forest"),
+            (["serve-bench", "--repeats", "0"], "--repeats"),
+            (["serve-bench", "--prefill-budget", "0"], "--prefill-budget"),
+            (["serve-bench", "--copy-rate", "1.5"], "copy_rate"),
+            (["serve-bench", "--priority-mix", "urgent"], "urgent"),
+            (["serve-bench", "--scenarios", "steady", "--policies", "fp64-ref,fp12-mystery"], "fp12-mystery"),
+            (["serve-bench", "--backend", "pipeline:0"], "stage count"),
+            (["serve-bench", "--backend", "pipeline:2:gpu"], "driver"),
+            (["serve-bench", "--backend", "pipeline:2+sharded:5"], "DET_ATOMS"),
+            (["serve-bench", "--backend", "pipeline:99"], "decoder layers"),
+            (["cluster-bench", "--tier-ratio", "0.5"], "--max-blocks"),
+            (["shard-bench", "--prefix-caching", "--tier-blocks", "8", "--tier-fmt", "int7"], "--tier-fmt"),
+        ],
+    )
+    def test_flag_mistakes_are_usage_errors(self, tmp_path, argv, needle):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--decode-strategy", "prompt-lookup",
-                "--ngram", "0",
-            ])
-        assert "serve-bench:" in str(excinfo.value)
-        assert "--ngram" in str(excinfo.value)
+            main([*argv, "--quick", "--out", str(tmp_path / "x.json")])
+        message = str(excinfo.value)
+        assert message.startswith(f"{argv[0]}:")
+        assert needle in message
+        assert "\n" not in message
 
-
-class TestTierFlagValidation:
-    """The cold-tier flags fail fast, house-style, across every bench."""
-
-    def test_validate_tier_rejections(self):
-        from repro.serve.bench import validate_tier
-
-        with pytest.raises(ValueError, match="not both"):
-            validate_tier(tier_blocks=8, tier_ratio=0.5, prefix_caching=True)
-        with pytest.raises(ValueError, match="--tier-blocks"):
-            validate_tier(tier_blocks=-1, prefix_caching=True)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            validate_tier(tier_ratio=1.5, prefix_caching=True, max_blocks=8)
-        with pytest.raises(ValueError, match="--prefix-caching"):
-            validate_tier(tier_blocks=8, prefix_caching=False)
-        with pytest.raises(ValueError, match="--max-blocks"):
-            validate_tier(tier_ratio=0.5, prefix_caching=True)
-        with pytest.raises(ValueError, match="--tier-fmt"):
-            validate_tier(tier_fmt="fp8_e4m3", prefix_caching=True)
-        with pytest.raises(ValueError, match="--tier-fmt"):
-            validate_tier(
-                tier_blocks=8, tier_fmt="int7", prefix_caching=True
-            )
-        # The all-clear combinations do not raise.
-        validate_tier()
-        validate_tier(tier_blocks=8, prefix_caching=True)
-        validate_tier(tier_ratio=0.25, prefix_caching=True, max_blocks=16)
-
-    def test_serve_bench_cli_one_line_usage_error(self, tmp_path):
+    def test_typo_normalizer_runs_zero_cells(self, tmp_path, monkeypatch):
         from repro.cli import main
 
+        calls = []
+        monkeypatch.setattr(bench, "run_scenario", lambda **p: calls.append(p))
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--tier-blocks", "8",
+                "serve-bench", "--quick", "--out", str(tmp_path / "x.json"),
+                "--scenarios", "steady", "chat",
+                "--normalizers", "baseline,iterl2nrom",
             ])
-        assert "serve-bench:" in str(excinfo.value)
-        assert "--prefix-caching" in str(excinfo.value)
+        assert str(excinfo.value).startswith(
+            "serve-bench: unknown normalizer 'iterl2nrom'"
+        )
+        assert calls == []
+        assert not (tmp_path / "x.json").exists()
 
-    def test_cluster_bench_cli_one_line_usage_error(self, tmp_path):
+    def test_cell_errors_propagate_with_their_type(self, tmp_path, monkeypatch):
+        """A KeyError raised inside a running cell is a bug, not a usage
+        error: it must surface unchanged, traceback and all."""
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as excinfo:
+        def broken(**params):
+            raise KeyError("metrics")
+
+        monkeypatch.setattr(bench, "run_scenario", broken)
+        with pytest.raises(KeyError, match="metrics"):
             main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--tier-ratio", "0.5",
+                "serve-bench", "--quick", "--out", str(tmp_path / "x.json"),
+                "--scenarios", "steady", "--normalizers", "baseline",
             ])
-        assert "cluster-bench:" in str(excinfo.value)
-        assert "--max-blocks" in str(excinfo.value)
-
-    def test_shard_bench_cli_one_line_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--prefix-caching", "--tier-blocks", "8",
-                "--tier-fmt", "int7",
-            ])
-        assert "shard-bench:" in str(excinfo.value)
-        assert "--tier-fmt" in str(excinfo.value)
-
-    def test_unknown_dag_scenario_is_a_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--scenarios", "agent-forest",
-            ])
-        assert "serve-bench:" in str(excinfo.value)
-        assert "agent-forest" in str(excinfo.value)
 
 
 class TestTierPairing:
-    """Arming the tier pairs every cell with an untiered twin."""
+    """Arming the tier pairs every serve-bench cell with an untiered twin."""
 
-    def test_jobs_tier_axis_doubles_cells_and_marks_names(self):
-        from repro.serve.bench import jobs
-
-        tier = {"tier_blocks": 16, "slo_aware": False}
+    def test_tier_axis_doubles_cells_and_marks_names(self):
         declared = jobs(
-            quick=True, seed=0, scenarios=("agent-tree",),
-            normalizers=("baseline",), tiers=(None, tier),
+            {"scenario": ("agent-tree",), "normalizer": ("baseline",),
+             "tier": (None, {"tier_blocks": 16})},
         )
         names = [job.name for job in declared]
-        assert len(names) == 2
-        assert sum("[tiered]" in name for name in names) == 1
-        tiered = next(j for j in declared if "[tiered]" in j.name)
-        assert tiered.params["tier_blocks"] == 16
+        assert names == ["bench[agent-tree/untiered]", "bench[agent-tree/tiered]"]
+        assert declared[1].params["tier_blocks"] == 16
+        assert "tier_blocks" not in declared[0].params
 
     def test_run_bench_tiered_writes_tier_comparison(self, tmp_path):
         payload, _ = run_bench(
-            quick=True, seed=0, out_path=str(tmp_path / "tier.json"),
-            scenarios=("agent-tree",), normalizers=("baseline",),
-            policy="fp64-ref", prefix_caching=True, block_size=8,
-            max_blocks=12, tier_blocks=48,
-            stream=open("/dev/null", "w"),
+            quick=True, seed=0, out=str(tmp_path / "tier.json"),
+            scenarios=("agent-tree",), normalizers="baseline",
+            prefix_caching=True, block_size=8, max_blocks=12, tier_blocks=48,
+           
         )
-        comparison = payload["tier_comparison"]
-        assert comparison, "tiered run must emit tier_comparison"
-        for cell in comparison.values():
-            assert cell["tokens_match"] is True
-            assert cell["blocks_demoted"] > 0
-        # The classic comparisons only ever see untiered rows.
-        for row_key in payload["comparison"]:
-            assert "[tiered]" not in row_key
+        comparison = payload["comparisons"]["tier"]
+        assert set(comparison) == {"agent-tree"}
+        assert comparison["agent-tree"]["tiered"]["tokens_match"] is True
+        tiered = next(r for r in payload["results"] if r["tier"] == "tiered")
+        assert tiered["pool"]["blocks_demoted"] > 0
+        # The normalizer comparison never mixes tiered and untiered rows.
+        assert payload["comparisons"]["normalizer"] == {}

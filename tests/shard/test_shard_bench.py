@@ -1,124 +1,78 @@
-"""Shard benchmark harness: cells, best-of-K, comparison, CLI guards."""
-
-import json
+"""The shard-bench preset: topology grids, twin comparisons, flag guards."""
 
 import pytest
 
-from repro.shard import bench as shard_bench
-from repro.shard.bench import jobs, run_shard_cell, shard_comparison
+from repro.serve.bench import parallel_twin, plan, twin_comparison
 
 
 def fake_row(scenario, policy, backend, tps, digest):
-    return {
-        "scenario": scenario,
-        "policy": policy,
-        "backend": backend,
-        "token_digest": digest,
-        "metrics": {"tokens_per_second": tps},
+    row = {
+        "scenario": scenario, "normalizer": "baseline", "policy": policy,
+        "decode_strategy": "one-token", "backend": backend, "tier": "untiered",
+        "replicas": 1, "routing": "round-robin", "token_digest": digest,
     }
+    row["metrics"] = {
+        "tokens_per_second": tps, "steps": 10, "tokens_generated": 50,
+        "prefill_tokens_computed": 40,
+    }
+    return row
 
 
-class TestRunShardCell:
-    def test_rejects_non_positive_repeats(self):
-        with pytest.raises(ValueError, match="repeats"):
-            run_shard_cell(repeats=0, scenario="steady")
-
-    def test_keeps_fastest_repeat(self, monkeypatch):
-        speeds = iter([100.0, 300.0, 200.0])
-
-        def fake_run_scenario(**params):
-            tps = next(speeds)
-            return {"token_digest": "d", "metrics": {"tokens_per_second": tps}}, "x"
-
-        monkeypatch.setattr(
-            "repro.serve.bench.run_scenario", fake_run_scenario
-        )
-        rows, _ = run_shard_cell(repeats=3, scenario="steady")
-        assert rows["metrics"]["tokens_per_second"] == 300.0
-        assert rows["repeats"] == 3
-
-    def test_digest_drift_across_repeats_fails_loudly(self, monkeypatch):
-        digests = iter(["a", "b"])
-
-        def fake_run_scenario(**params):
-            return (
-                {"token_digest": next(digests),
-                 "metrics": {"tokens_per_second": 1.0}},
-                "x",
-            )
-
-        monkeypatch.setattr(
-            "repro.serve.bench.run_scenario", fake_run_scenario
-        )
-        with pytest.raises(RuntimeError, match="no longer deterministic"):
-            run_shard_cell(repeats=2, scenario="steady")
-
-    def test_real_cell_is_deterministic_and_serializable(self):
-        rows, text = run_shard_cell(
-            repeats=2,
-            scenario="steady",
-            quick=True,
-            num_requests=3,
-            model_name="opt-test",
-            policy="fp64-ref",
-            backend="sharded:2:sim",
-        )
-        assert rows["backend"] == "sharded:2:sim"
-        assert rows["repeats"] == 2
-        json.dumps(rows)
+def scaling(rows):
+    return twin_comparison(rows, "backend", parallel_twin)
 
 
-class TestJobs:
+def vs_reference(rows):
+    return twin_comparison(rows, "backend", "reference")
+
+
+class TestGrid:
     def test_grid_declaration(self):
-        declared = jobs(
-            quick=True,
-            scenarios=("steady", "chat"),
-            shards=(1, 2),
-            drivers=("sim",),
-            policies=("fp64-ref",),
-        )
+        declared = plan(
+            "shard-bench", scenarios=("steady", "chat"), shards="1,2",
+            drivers="sim", policies="fp64-ref",
+        ).jobs()
         # 2 scenarios x 1 policy x (reference + 2 sharded backends)
         assert len(declared) == 6
         names = {job.name for job in declared}
-        assert "shard[steady/fp64-ref/reference]" in names
-        assert "shard[chat/fp64-ref/sharded:2:sim]" in names
+        assert "bench[steady/reference]" in names
+        assert "bench[chat/sharded:2:sim]" in names
+        for job in declared:
+            assert job.params["repeats"] == 3
+            assert job.params["model_name"] == "opt-350m-sim"
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            jobs(scenarios=("no-such-mix",))
+            plan("shard-bench", scenarios=("no-such-mix",))
 
     def test_pipeline_mode_grid_declaration(self):
-        declared = jobs(
-            quick=True,
-            scenarios=("steady",),
-            mode="pipeline",
-            stages=(1, 2),
-            drivers=("process",),
-            policies=("fp64-ref",),
+        grid = plan(
+            "shard-bench", scenarios=("steady",), mode="pipeline",
+            stages="1,2", drivers="process", policies="fp64-ref",
         )
-        names = {job.name for job in declared}
-        assert "shard[steady/fp64-ref/reference]" in names
-        assert "shard[steady/fp64-ref/pipeline:1:process]" in names
-        assert "shard[steady/fp64-ref/pipeline:2:process]" in names
+        names = {job.name for job in grid.jobs()}
+        assert names == {
+            "bench[steady/reference]",
+            "bench[steady/pipeline:1:process]",
+            "bench[steady/pipeline:2:process]",
+        }
+        assert grid.out == "BENCH_pipeline.json"
+        assert grid.pool_reuse["backend"] == "pipeline:2:process"
 
     def test_pipeline_mode_composed_and_pinned_backends(self):
-        declared = jobs(
-            quick=True,
-            scenarios=("steady",),
-            mode="pipeline",
-            stages=(2,),
-            stage_shards=2,
-            pin_workers=True,
-            drivers=("process",),
-            policies=("fp64-ref",),
-        )
+        declared = plan(
+            "shard-bench", scenarios=("steady",), mode="pipeline", stages="2",
+            stage_shards=2, pin_workers=True, drivers="process",
+            policies="fp64-ref",
+        ).jobs()
         names = {job.name for job in declared}
-        assert (
-            "shard[steady/fp64-ref/pipeline:2+sharded:2:process:pin]" in names
-        )
+        assert "bench[steady/pipeline:2+sharded:2:process:pin]" in names
 
 
-class TestShardComparison:
+class TestTwinComparisons:
+    """shard-bench compares every parallel row twice: against the N=1/P=1
+    twin of its own driver, and against the reference backend."""
+
     def test_ratios_and_digest_flags(self):
         rows = [
             fake_row("steady", "fp64-ref", "reference", 100.0, "ok"),
@@ -126,14 +80,16 @@ class TestShardComparison:
             fake_row("steady", "fp64-ref", "sharded:2:sim", 220.0, "ok"),
             fake_row("steady", "fp64-ref", "sharded:4:sim", 330.0, "BAD"),
         ]
-        comp = shard_comparison(rows)
-        group = comp["steady/fp64-ref/sim"]
-        assert group["N=2"]["tokens_match"] is True
-        assert group["N=2"]["tokens_match_reference"] is True
-        assert group["N=2"]["tokens_per_second_ratio"] == pytest.approx(2.0)
-        assert group["N=4"]["tokens_match"] is False
-        assert group["N=4"]["tokens_match_reference"] is False
-        assert group["N=1"]["tokens_per_second_ratio"] == pytest.approx(1.0)
+        twin = scaling(rows)["steady"]
+        ref = vs_reference(rows)["steady"]
+        assert set(twin) == {"sharded:2:sim", "sharded:4:sim"}
+        assert set(ref) == {"sharded:1:sim", "sharded:2:sim", "sharded:4:sim"}
+        assert twin["sharded:2:sim"]["tokens_match"] is True
+        assert ref["sharded:2:sim"]["tokens_match"] is True
+        assert twin["sharded:2:sim"]["tokens_per_second_ratio"] == pytest.approx(2.0)
+        assert twin["sharded:4:sim"]["tokens_match"] is False
+        assert ref["sharded:4:sim"]["tokens_match"] is False
+        assert ref["sharded:1:sim"]["tokens_per_second_ratio"] == pytest.approx(1.1)
 
     def test_drivers_compare_against_their_own_twin(self):
         rows = [
@@ -142,8 +98,7 @@ class TestShardComparison:
             fake_row("steady", "fp64-ref", "sharded:1:process", 100.0, "ok"),
             fake_row("steady", "fp64-ref", "sharded:2:process", 150.0, "ok"),
         ]
-        comp = shard_comparison(rows)
-        assert comp["steady/fp64-ref/process"]["N=2"][
+        assert scaling(rows)["steady"]["sharded:2:process"][
             "tokens_per_second_ratio"
         ] == pytest.approx(1.5)
 
@@ -152,194 +107,68 @@ class TestShardComparison:
             fake_row("steady", "fp64-ref", "reference", 100.0, "ok"),
             fake_row("steady", "fp64-ref", "pipeline:1:process", 100.0, "ok"),
             fake_row("steady", "fp64-ref", "pipeline:2:process", 130.0, "ok"),
-            fake_row(
-                "steady", "fp64-ref", "pipeline:2+sharded:2:process",
-                140.0, "ok",
-            ),
+            fake_row("steady", "fp64-ref", "pipeline:1+sharded:2:process", 100.0, "ok"),
+            fake_row("steady", "fp64-ref", "pipeline:2+sharded:2:process", 140.0, "ok"),
         ]
-        comp = shard_comparison(rows)
-        group = comp["steady/fp64-ref/process"]
-        assert group["P=2"]["tokens_per_second_ratio"] == pytest.approx(1.3)
-        assert group["P=2"]["tokens_match"] is True
-        assert group["P=2xN=2"]["tokens_per_second_ratio"] == pytest.approx(1.4)
-        assert group["P=2xN=2"]["tokens_match_reference"] is True
+        twin = scaling(rows)["steady"]
+        assert twin["pipeline:2:process"]["tokens_per_second_ratio"] == pytest.approx(1.3)
+        assert twin["pipeline:2:process"]["tokens_match"] is True
+        assert twin["pipeline:2+sharded:2:process"][
+            "tokens_per_second_ratio"
+        ] == pytest.approx(1.4)
+        assert vs_reference(rows)["steady"]["pipeline:2+sharded:2:process"][
+            "tokens_match"
+        ] is True
+
+    def test_cell_keys_carry_the_policy_when_it_varies(self):
+        rows = [
+            fake_row("steady", policy, backend, 100.0, "ok")
+            for policy in ("fp64-ref", "bf16-fp8kv")
+            for backend in ("reference", "sharded:1:process", "sharded:2:process")
+        ]
+        assert set(scaling(rows)) == {"steady/fp64-ref", "steady/bf16-fp8kv"}
+
+    def test_parallel_twin(self):
+        assert parallel_twin("sharded:4:process:pin") == "sharded:1:process:pin"
+        assert parallel_twin("pipeline:2+sharded:2:sim") == "pipeline:1+sharded:2:sim"
+        assert parallel_twin("reference") is None
 
 
 class TestValidation:
-    def test_run_shard_bench_rejects_unknown_scenario(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            shard_bench.run_shard_bench(
-                scenarios=("no-such-mix",),
-                out_path=str(tmp_path / "x.json"),
-            )
-
-    def test_run_shard_bench_rejects_bad_shards(self, tmp_path):
-        with pytest.raises(ValueError, match="DET_ATOMS"):
-            shard_bench.run_shard_bench(
-                shards=(5,), out_path=str(tmp_path / "x.json")
-            )
-
-    def test_run_shard_bench_rejects_unknown_mode(self, tmp_path):
-        with pytest.raises(ValueError, match="--mode"):
-            shard_bench.run_shard_bench(
-                mode="tensor", out_path=str(tmp_path / "x.json")
-            )
-
-    def test_pipeline_mode_rejects_oversized_stage_count(self, tmp_path):
-        with pytest.raises(ValueError, match="decoder layers"):
-            shard_bench.run_shard_bench(
-                mode="pipeline", stages=(1, 99), model_name="opt-test",
-                out_path=str(tmp_path / "x.json"),
-            )
-
-    def test_pipeline_mode_rejects_oversized_composed_topology(self, tmp_path):
-        with pytest.raises(ValueError, match="P\\*N"):
-            shard_bench.run_shard_bench(
-                mode="pipeline", stages=(2,), stage_shards=4,
-                model_name="opt-test", out_path=str(tmp_path / "x.json"),
-            )
-
-    def test_pipeline_mode_rejects_bad_stage_shards(self, tmp_path):
-        with pytest.raises(ValueError, match="DET_ATOMS"):
-            shard_bench.run_shard_bench(
-                mode="pipeline", stage_shards=5, model_name="opt-test",
-                out_path=str(tmp_path / "x.json"),
-            )
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (dict(scenarios=("no-such-mix",)), "unknown scenario"),
+            (dict(shards="5"), "DET_ATOMS"),
+            (dict(mode="tensor"), "--mode"),
+            (dict(mode="pipeline", stages="1,99", model="opt-test"), "decoder layers"),
+            (dict(mode="pipeline", stages="2", stage_shards=4, model="opt-test"), r"P\*N"),
+            (dict(mode="pipeline", stage_shards=5, model="opt-test"), "DET_ATOMS"),
+            (dict(drivers="mpi"), "driver"),
+            (dict(model="opt-9b"), "unknown model"),
+        ],
+    )
+    def test_rejections(self, flags, match):
+        with pytest.raises(ValueError, match=match):
+            plan("shard-bench", **flags)
 
 
 class TestCLIGuards:
     """Flag mistakes exit with one-line usage errors, not tracebacks."""
 
-    def test_unknown_scenario_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--scenarios", "no-such-mix"], "no-such-mix"),
+            (["--shards", "1,two"], "--shards"),
+            (["--mode", "pipeline", "--stages", "1,two"], "--stages"),
+            (["--mode", "pipeline", "--stages", "1,99", "--model", "opt-test"], "decoder layers"),
+        ],
+    )
+    def test_usage_errors(self, tmp_path, argv, needle):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--scenarios", "no-such-mix",
-            ])
-        assert "shard-bench" in str(excinfo.value)
-
-    def test_bad_shards_list_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--shards", "1,two",
-            ])
-        assert "shard" in str(excinfo.value)
-
-    def test_serve_bench_shards_conflicts_with_backend(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--shards", "2", "--backend", "compiled",
-            ])
-        assert "--shards" in str(excinfo.value)
-
-    def test_cluster_bench_bad_weights_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--capacity-weights", "2,zero",
-            ])
-        assert "capacity-weights" in str(excinfo.value)
-
-    def test_cluster_bench_weight_count_mismatch_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--replicas", "3",
-                "--capacity-weights", "2,1",
-            ])
-        assert "one weight per replica" in str(excinfo.value)
-
-    def test_bad_stages_list_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--mode", "pipeline", "--stages", "1,two",
-            ])
-        assert "--stages" in str(excinfo.value)
-
-    def test_oversized_stage_count_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--mode", "pipeline", "--stages", "1,99",
-                "--model", "opt-test",
-            ])
+            main(["shard-bench", "--quick", "--out", str(tmp_path / "x.json"), *argv])
         assert str(excinfo.value).startswith("shard-bench:")
-        assert "decoder layers" in str(excinfo.value)
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["pipeline:0", "pipeline:2:gpu", "pipeline:2+sharded:5"],
-    )
-    def test_serve_bench_bad_pipeline_spec_is_usage_error(self, tmp_path, spec):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--backend", spec,
-            ])
-        assert str(excinfo.value).startswith("serve-bench:")
-
-    def test_serve_bench_oversized_stage_count_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        # serve-bench cells run opt-test (2 decoder layers).
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--backend", "pipeline:99",
-            ])
-        assert "decoder layers" in str(excinfo.value)
-
-    @pytest.mark.parametrize(
-        "spec", ["pipeline:0", "pipeline:2:gpu", "pipeline:99"]
-    )
-    def test_cluster_bench_bad_pipeline_spec_is_usage_error(
-        self, tmp_path, spec
-    ):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--backend", spec,
-            ])
-        assert str(excinfo.value).startswith("cluster-bench:")
-
-    def test_serve_bench_bad_repeats_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--repeats", "0",
-            ])
-        assert "--repeats" in str(excinfo.value)
+        assert needle in str(excinfo.value)

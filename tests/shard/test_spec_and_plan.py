@@ -15,7 +15,7 @@ from repro.shard import (
     parse_pipeline_spec,
     parse_shard_spec,
 )
-from repro.shard.bench import validate_drivers, validate_shards, validate_stages
+from repro.serve.bench import validate
 from repro.shard.plan import shard_bounds, stage_layer_bounds
 
 
@@ -148,24 +148,27 @@ class TestValidateBackend:
 
 
 class TestBenchValidators:
+    """The bench's one validation pass resolves every backend spec."""
+
     def test_validate_shards_accepts_divisors(self):
-        validate_shards([n for n in range(1, DET_ATOMS + 1) if DET_ATOMS % n == 0])
+        divisors = [n for n in range(1, DET_ATOMS + 1) if DET_ATOMS % n == 0]
+        validate({"backend": tuple(f"sharded:{n}" for n in divisors)}, {})
 
     def test_validate_shards_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="DET_ATOMS"):
-            validate_shards([2, 5])
+            validate({"backend": ("sharded:2", "sharded:5")}, {})
 
     def test_validate_drivers(self):
-        validate_drivers(["sim", "process"])
+        validate({"backend": ("sharded:2:sim", "sharded:2:process")}, {})
         with pytest.raises(ValueError, match="driver"):
-            validate_drivers(["sim", "mpi"])
+            validate({"backend": ("sharded:2:mpi",)}, {})
 
     def test_validate_stages(self):
-        validate_stages([1, 2], num_layers=2)
+        validate({"backend": ("pipeline:1", "pipeline:2")}, {"model_name": "opt-test"})
         with pytest.raises(ValueError, match=">= 1"):
-            validate_stages([0])
+            validate({"backend": ("pipeline:0",)}, {})
         with pytest.raises(ValueError, match="decoder layers"):
-            validate_stages([3], num_layers=2)
+            validate({"backend": ("pipeline:3",)}, {"model_name": "opt-test"})
 
 
 class TestShardPlan:
