@@ -187,8 +187,7 @@ _BENCH_FLAGS = {
         type=int, metavar="N",
         help="bound the KV pool (per replica) at N blocks; exhaustion then "
              "preempts lowest-priority requests (re-run deterministically) "
-             "instead of growing — required for a nonzero preempt column "
-             "and by --tier-ratio",
+             "instead of growing — required for a nonzero preempt column",
     ),
     "--tier-blocks": dict(
         type=int, metavar="N",
@@ -197,11 +196,6 @@ _BENCH_FLAGS = {
              "tier instead and promoted back on a prefix hit — requires "
              "--prefix-caching; serve-bench pairs every cell with an "
              "untiered twin",
-    ),
-    "--tier-ratio": dict(
-        type=float, metavar="R",
-        help="cold-tier capacity as a fraction of --max-blocks "
-             "(0 <= R <= 1; alternative to --tier-blocks)",
     ),
     "--tier-fmt": dict(
         metavar="FMT",
@@ -239,9 +233,8 @@ _BENCH_FLAGS = {
     ),
     "--block-size": dict(
         type=int, metavar="TOKENS",
-        help="token positions per KV block (smaller blocks make "
-             "--max-blocks bounds and prefix sharing finer-grained; "
-             "serve-bench default 16)",
+        help="token positions per KV block; smaller blocks make "
+             "--max-blocks bounds and prefix sharing finer-grained",
     ),
     "--priority-mix": dict(
         metavar="P:W,...",
@@ -343,7 +336,7 @@ _BENCH_FLAGS = {
 #: The flags every bench subcommand takes.
 _SHARED_BENCH_FLAGS = (
     "--quick", "--out", "--scenarios", "--use-cache", "--max-blocks",
-    "--tier-blocks", "--tier-ratio", "--tier-fmt", "--slo-aware",
+    "--tier-blocks", "--tier-fmt", "--slo-aware",
 )
 
 #: The bench subcommands: presets of one harness, each with its own flags.
@@ -426,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.engine.options import add_engine_arguments
 
-    from repro.serve.bench import PRESETS
+    from repro.serve.bench import ENGINE_DEFAULTS, PRESETS
 
     for command, help_text, flags in _BENCH_COMMANDS:
         p = sub.add_parser(command, help=help_text)
@@ -436,6 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
             dest = flag[2:].replace("-", "_")
             if dest in defaults:
                 kwargs["default"] = defaults[dest]
+            if defaults.get(dest) is None and ENGINE_DEFAULTS.get(dest) is not None:
+                # Left unset, the engine's own default applies.
+                kwargs["help"] += f" (default {ENGINE_DEFAULTS[dest]})"
             p.add_argument(flag, **kwargs)
         add_engine_arguments(p)
         p.set_defaults(func=_cmd_bench)

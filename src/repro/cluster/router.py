@@ -40,9 +40,9 @@ only *where* and *when* work happens — hit rates, queueing, throughput.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.serve.engine import ServeEngine, ServeReport
+from repro.serve.engine import ServeConfig, ServeEngine, ServeReport
 from repro.serve.metrics import jain_fairness, load_imbalance
 from repro.serve.request import Request
 
@@ -463,18 +463,17 @@ class ClusterRouter:
     capacity_weights:
         Optional per-replica relative capacities (length ``replicas``,
         all > 0).  Each replica's decode batch is scaled to
-        ``max(1, round(max_batch_size * w))`` and load-aware policies
-        compare ``load / w``, so a heterogeneous cluster (say a 2x and a
-        1x machine) fills proportionally instead of treating every
-        replica as interchangeable.  ``None`` means homogeneous (all 1.0).
+        ``max(1, round(config.max_batch_size * w))`` and load-aware
+        policies compare ``load / w``, so a heterogeneous cluster (say a
+        2x and a 1x machine) fills proportionally instead of treating
+        every replica as interchangeable.  ``None`` means homogeneous
+        (all 1.0).
     max_index_spans:
         Cap on the router-side prefix index (see
         :class:`RouterPrefixIndex`); ``None`` disables the cap.
-    **engine_kwargs:
-        Forwarded to every :class:`~repro.serve.engine.ServeEngine`
-        (``max_batch_size``, ``block_size``, ``prefix_caching``,
-        ``prefill_budget``, ``max_blocks``, ``decode_strategy``,
-        ``backend``, ...).
+    config:
+        The :class:`~repro.serve.engine.ServeConfig` every replica runs,
+        with ``max_batch_size`` scaled per replica by its capacity weight.
     """
 
     def __init__(
@@ -485,7 +484,7 @@ class ClusterRouter:
         timer=None,
         capacity_weights=None,
         max_index_spans: int | None = 4096,
-        **engine_kwargs,
+        config: ServeConfig = ServeConfig(),
     ) -> None:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -503,13 +502,13 @@ class ClusterRouter:
                     f"capacity_weights must be > 0, got {weights}"
                 )
         self.capacity_weights = weights
-        base_batch = int(engine_kwargs.pop("max_batch_size", 8))
         self.engines = [
             ServeEngine(
                 model,
+                replace(
+                    config, max_batch_size=max(1, round(config.max_batch_size * w))
+                ),
                 timer=timer,
-                max_batch_size=max(1, round(base_batch * w)),
-                **engine_kwargs,
             )
             for w in weights
         ]

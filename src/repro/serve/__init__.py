@@ -51,7 +51,7 @@ from repro.serve.decode import (
     PromptLookupSpeculator,
     resolve_strategy,
 )
-from repro.serve.engine import ServeEngine, ServeReport
+from repro.serve.engine import ServeConfig, ServeEngine, ServeReport
 from repro.serve.kv_pool import (
     BlockKVPool,
     PoolExhaustedError,
@@ -75,6 +75,7 @@ __all__ = [
     "Scenario",
     "Scheduler",
     "SequenceKV",
+    "ServeConfig",
     "ServeEngine",
     "ServeReport",
     "StepPlan",

@@ -10,9 +10,9 @@ part:
 * **One cell** (:func:`run_scenario`): one scenario served through
   ``ClusterRouter(replicas=R, routing=...)``; R=1 is a single engine.
   Every row has one schema: the identity fields (:data:`AXES`), every
-  knob of :data:`CELL_DEFAULTS`, ``token_digest`` (an order-independent
-  checksum of every served stream), ``metrics``, ``pool``, ``cluster``
-  and ``executor_stats``.
+  knob of :data:`CELL_DEFAULTS` and :data:`ENGINE_DEFAULTS`,
+  ``token_digest`` (an order-independent checksum of every served
+  stream), ``metrics``, ``pool``, ``cluster`` and ``executor_stats``.
 * **One grid** (:func:`jobs`): the product of the axes, declared as data.
 * **One repeat path** (:func:`run_cell`): the fastest of ``repeats``
   runs; a digest that drifts between repeats aborts the run.
@@ -51,7 +51,7 @@ import json
 import sys
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,8 +61,9 @@ from repro.engine import Job, ResultCache, run_jobs
 from repro.nn.config import OPT_CONFIGS, get_config
 from repro.nn.executor import validate_backend
 from repro.nn.model import OPTLanguageModel
-from repro.precision.policy import available_policies, resolve_kv_format
+from repro.precision.policy import available_policies
 from repro.serve.decode import STRATEGIES, resolve_strategy
+from repro.serve.engine import ServeConfig
 from repro.serve.workload import SCENARIOS, generate_workload
 from repro.shard.executor import parse_pipeline_spec, parse_shard_spec
 
@@ -103,33 +104,25 @@ BASELINES = {
     "routing": "round-robin",
 }
 
-#: Every knob a cell takes besides scenario, normalizer, quick and seed,
-#: with its default; each row echoes all of them.
+#: The workload and cluster knobs a cell takes besides scenario,
+#: normalizer, quick and seed, with their defaults; each row echoes them.
 CELL_DEFAULTS = {
     "policy": "fp64-ref",
-    "decode_strategy": "one-token",
-    "backend": "reference",
     "replicas": 1,
     "routing": "round-robin",
     "model_name": "opt-test",
     "num_requests": None,  # default 12 (quick) or 48
     "sessions": None,  # size the workload in sessions instead
-    "max_batch_size": 8,  # decode slots per replica
     "rate_scale": 1.0,
     "priority_mix": None,
     "copy_rate": None,
-    "prefix_caching": False,
-    "prefill_budget": None,
-    "max_blocks": None,  # per replica
-    "block_size": 16,
     "ngram": None,
     "max_draft": None,
-    "tier_blocks": None,
-    "tier_ratio": None,
-    "tier_fmt": None,
-    "slo_aware": False,
     "capacity_weights": None,
 }
+
+#: The engine knobs of a cell (per replica), at their config defaults.
+ENGINE_DEFAULTS = {f.name: f.default for f in fields(ServeConfig)}
 
 #: Normalizer working format under the float64 passthrough policy.
 _PASSTHROUGH_VARIANT_FMT = "fp16"
@@ -155,8 +148,7 @@ def _token_digest(completed) -> str:
 
 
 def _tier_label(knobs) -> str:
-    tiered = knobs.get("tier_blocks") or knobs.get("tier_ratio")
-    return "tiered" if tiered else "untiered"
+    return "tiered" if knobs.get("tier_blocks") else "untiered"
 
 
 def _label(axis: str, value) -> str:
@@ -207,20 +199,20 @@ def run_scenario(
     The substrate model is built from ``seed`` with random weights —
     serving throughput does not depend on training, and random weights
     keep the cell self-contained and cache-addressable.  ``knobs`` are the
-    entries of :data:`CELL_DEFAULTS`: the precision policy of the whole
+    entries of :data:`CELL_DEFAULTS` — the precision policy of the whole
     datapath (the normalizer variant is layered on top), the workload
-    sizing, and the :class:`~repro.serve.engine.ServeEngine` /
-    :class:`~repro.cluster.router.ClusterRouter` settings.  Apart from the
-    normalizer, none of them changes a served token — the row's
-    ``token_digest`` lets the artifact prove it.
+    sizing and the :class:`~repro.cluster.router.ClusterRouter` settings —
+    and of :data:`ENGINE_DEFAULTS`, the replicas' :class:`ServeConfig`.
+    Apart from the normalizer, none of them changes a served token — the
+    row's ``token_digest`` lets the artifact prove it.
     """
-    unknown = sorted(set(knobs) - set(CELL_DEFAULTS))
+    unknown = sorted(set(knobs) - set(CELL_DEFAULTS) - set(ENGINE_DEFAULTS))
     if unknown:
         raise TypeError(f"unknown cell knobs: {', '.join(unknown)}")
     if normalizer not in VARIANT_PRESETS:
         known = ", ".join(sorted(VARIANT_PRESETS))
         raise KeyError(f"unknown normalizer {normalizer!r}; known: {known}")
-    p = {**CELL_DEFAULTS, **knobs}
+    p = {**CELL_DEFAULTS, **ENGINE_DEFAULTS, **knobs}
     config = get_config(p["model_name"])
     model = OPTLanguageModel(
         config, rng=np.random.default_rng(seed), policy=p["policy"]
@@ -245,22 +237,16 @@ def run_scenario(
         copy_rate=p["copy_rate"],
         **size,
     )
+    engine = {key: p[key] for key in ENGINE_DEFAULTS}
+    engine["decode_strategy"] = resolve_strategy(
+        p["decode_strategy"], ngram=p["ngram"], max_draft=p["max_draft"]
+    )
     router = ClusterRouter(
         model,
         replicas=p["replicas"],
         routing=p["routing"],
         capacity_weights=p["capacity_weights"],
-        decode_strategy=resolve_strategy(
-            p["decode_strategy"], ngram=p["ngram"], max_draft=p["max_draft"]
-        ),
-        **{
-            key: p[key]
-            for key in (
-                "max_batch_size", "block_size", "prefix_caching",
-                "prefill_budget", "max_blocks", "backend", "tier_blocks",
-                "tier_ratio", "tier_fmt", "slo_aware",
-            )
-        },
+        config=ServeConfig(**engine),
     )
     try:
         report = router.serve(workload)
@@ -501,7 +487,7 @@ def _serve_preset(f: dict, quick: bool):
         f["policies"] = list(_names(f["policies"]))
     # A speculative strategy, a non-reference backend and an armed tier
     # each pair every cell with its twin on that axis.
-    tier = _given(f, "tier_blocks", "tier_ratio", "tier_fmt")
+    tier = _given(f, "tier_blocks", "tier_fmt")
     axes = {
         "scenario": f["scenarios"]
         or (SPEC_SCENARIOS if speculative else DEFAULT_SCENARIOS),
@@ -530,7 +516,7 @@ def _cluster_preset(f: dict, quick: bool):
         "normalizer": ("baseline",),
         "policy": (f["policy"],),
         "backend": (f["backend"],),
-        "tier": (_given(f, "tier_blocks", "tier_ratio", "tier_fmt") or None,),
+        "tier": (_given(f, "tier_blocks", "tier_fmt") or None,),
         "replicas": tuple(f["replicas"]),
         "routing": tuple(f["routing"]),
     }
@@ -573,7 +559,7 @@ def _shard_preset(f: dict, quick: bool):
         "normalizer": ("baseline",),
         "policy": tuple(f["policies"]),
         "backend": ("reference", *parallel),
-        "tier": (_given(f, "tier_blocks", "tier_ratio", "tier_fmt") or None,),
+        "tier": (_given(f, "tier_blocks", "tier_fmt") or None,),
     }
     knobs = {
         "model_name": f["model"],
@@ -597,7 +583,7 @@ def _shard_preset(f: dict, quick: bool):
     return axes, knobs, extras
 
 
-_TIER_FLAGS = dict(tier_blocks=None, tier_ratio=None, tier_fmt=None, slo_aware=False)
+_TIER_FLAGS = dict(tier_blocks=None, tier_fmt=None, slo_aware=False)
 
 #: Subcommand -> (grid builder, flag defaults).  The CLI takes its
 #: defaults from here; library callers pass the same flag names as
@@ -637,29 +623,6 @@ def _check_known(kind: str, values, known) -> None:
             )
 
 
-def _check_tier(knobs: dict) -> None:
-    blocks, ratio = knobs.get("tier_blocks"), knobs.get("tier_ratio")
-    fmt = knobs.get("tier_fmt")
-    if blocks is not None and ratio is not None:
-        raise ValueError("give --tier-blocks or --tier-ratio, not both")
-    if blocks is not None and blocks < 0:
-        raise ValueError(f"--tier-blocks must be >= 0, got {blocks}")
-    if ratio is not None and not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"--tier-ratio must be in [0, 1], got {ratio}")
-    tiered = _tier_label(knobs) == "tiered"
-    if tiered and not knobs.get("prefix_caching"):
-        raise ValueError("--tier-blocks/--tier-ratio require --prefix-caching")
-    if ratio is not None and knobs.get("max_blocks") is None:
-        raise ValueError("--tier-ratio requires --max-blocks")
-    if fmt is not None and not tiered:
-        raise ValueError("--tier-fmt requires --tier-blocks or --tier-ratio")
-    if fmt is not None:
-        try:
-            resolve_kv_format(fmt)
-        except KeyError as exc:
-            raise ValueError(f"unknown --tier-fmt: {exc.args[0]}") from None
-
-
 def validate(
     axes: dict, knobs: dict, repeats: int = 1, worker_budget: int | None = None
 ) -> None:
@@ -684,8 +647,9 @@ def validate(
                     f"composed topology P={stages} x N={shards} exceeds the "
                     f"supported worker budget (P*N <= {worker_budget})"
                 )
+    engine = {k: v for k, v in knobs.items() if k in ENGINE_DEFAULTS}
     for tier in grid["tier"]:
-        _check_tier({**knobs, **(tier or {})})
+        ServeConfig(**{**engine, **(tier or {})})
     if any(r < 1 for r in grid["replicas"]):
         raise ValueError(
             f"--replicas must all be >= 1, got {list(grid['replicas'])}"
@@ -700,11 +664,8 @@ def validate(
                     f"--capacity-weights has {len(weights)} entries but the "
                     f"grid sweeps R={r}; give one weight per replica"
                 )
-    positive = ("sessions", "max_batch_size", "block_size", "prefill_budget", "max_blocks")
-    for key in positive:
-        if knobs.get(key) is not None and knobs[key] < 1:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{flag} must be >= 1, got {knobs[key]}")
+    if knobs.get("sessions") is not None and knobs["sessions"] < 1:
+        raise ValueError(f"--sessions must be >= 1, got {knobs['sessions']}")
     # The workload knobs (--rate-scale, --priority-mix, --copy-rate) are
     # checked by drawing a one-request workload of every scenario.
     for scenario in grid["scenario"]:

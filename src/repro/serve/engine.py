@@ -64,10 +64,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.executor import resolve_executor
+from repro.nn.executor import ModelExecutor, resolve_executor
 from repro.nn.generation import select_token
 from repro.nn.model import OPTLanguageModel
-from repro.serve.decode import DecodeStrategy, resolve_strategy
+from repro.precision.policy import resolve_kv_format
+from repro.serve.decode import DecodeStrategy
 from repro.serve.kv_pool import BlockKVPool
 from repro.serve.metrics import MetricsRecorder
 from repro.serve.request import CompletedRequest, Request, RequestState
@@ -158,17 +159,18 @@ class StepOutcome:
         return sum(len(run) for _, run in self.emitted)
 
 
-class ServeEngine:
-    """Continuous-batching server around one model.
+@dataclass(frozen=True)
+class ServeConfig:
+    """Every setting of a :class:`ServeEngine`, checked once on construction.
 
-    Parameters
+    Attributes
     ----------
-    model:
-        The language model (placed in eval mode).
     max_batch_size:
         Decode slots per step.
     block_size / initial_blocks:
-        KV pool geometry (see :class:`~repro.serve.kv_pool.BlockKVPool`).
+        KV pool geometry (see :class:`~repro.serve.kv_pool.BlockKVPool`);
+        a ``max_blocks`` bound below ``initial_blocks`` just means a
+        smaller pool.
     prefix_caching:
         Share prompt-prefix KV blocks across requests through the pool's
         prefix index (copy-on-write protected; off by default).
@@ -178,96 +180,134 @@ class ServeEngine:
     max_blocks:
         Pool capacity ceiling; enables preemption under exhaustion
         (``None`` = unbounded growth, never preempts).
-    tier_blocks / tier_ratio:
-        Cold-tier capacity: an absolute block count, or a fraction of
-        ``max_blocks`` (``tier_ratio`` requires a bounded pool; at most
-        one of the two may be given).  Under pool pressure, demotable
-        cached prefixes are re-quantized into the tier and promoted back
-        on a hit instead of being recomputed — see
-        :class:`~repro.serve.kv_pool.BlockKVPool`.  Off by default.
-    tier_fmt:
-        Cold-tier storage format; ``None`` uses the policy's
-        ``kv_cache_fmt`` (lossless, so hits promote).  An explicitly
-        different format makes the tier lossy: hits are refused and
-        re-prefilled.  Served tokens are bit-identical either way.
-    slo_aware:
-        Give the scheduler the tier cost model so preemption victims are
-        priced by recompute time (within the lowest priority class)
-        instead of the classic newest-first order.  Off by default.
     decode_strategy:
         A :class:`~repro.serve.decode.DecodeStrategy` instance or
         registered name (``"one-token"`` default, ``"prompt-lookup"``)
         controlling how many tokens a decode row may emit per iteration.
         Speculative strategies change step counts and throughput only —
         never a single served token.
+    backend:
+        Execution backend: a :class:`~repro.nn.executor.ModelExecutor`
+        instance or registered name (``"reference"`` default,
+        ``"compiled"``, ``"sharded:N..."``, ``"pipeline:P..."``).
+        Backends change tokens/sec only — never a single served token.
+    tier_blocks:
+        Cold-tier capacity in blocks (requires ``prefix_caching``; 0 or
+        ``None`` = no tier).  Under pool pressure, demotable cached
+        prefixes are re-quantized into the tier and promoted back on a
+        hit instead of being recomputed — see
+        :class:`~repro.serve.kv_pool.BlockKVPool`.  A configured tier is
+        priced by the tier cost model: a promotion that would cost more
+        than recomputing its block is refused and re-prefilled.
+    tier_fmt:
+        Cold-tier storage format (requires ``tier_blocks``); ``None``
+        uses the policy's ``kv_cache_fmt`` (lossless, so hits promote).
+        An explicitly different format makes the tier lossy: hits are
+        refused and re-prefilled.  Served tokens are bit-identical either
+        way.
+    slo_aware:
+        Give the scheduler the tier cost model so preemption victims are
+        priced by recompute time (within the lowest priority class)
+        instead of the classic newest-first order.  It changes victim
+        ranking only; promotions are priced whenever a tier is set.
+
+    Backend and strategy names are checked by their registries when the
+    engine resolves them (:func:`~repro.nn.executor.resolve_executor`,
+    :func:`~repro.serve.decode.resolve_strategy`).
+    """
+
+    max_batch_size: int = 8
+    block_size: int = 16
+    initial_blocks: int = 64
+    prefix_caching: bool = False
+    prefill_budget: int | None = None
+    max_blocks: int | None = None
+    decode_strategy: DecodeStrategy | str = "one-token"
+    backend: ModelExecutor | str = "reference"
+    tier_blocks: int | None = None
+    tier_fmt: str | None = None
+    slo_aware: bool = False
+
+    def __post_init__(self) -> None:
+        for name in (
+            "max_batch_size", "block_size", "initial_blocks", "prefill_budget",
+            "max_blocks",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.tier_blocks is not None and self.tier_blocks < 0:
+            raise ValueError(f"tier_blocks must be >= 0, got {self.tier_blocks}")
+        if self.tier_blocks and not self.prefix_caching:
+            raise ValueError("tier_blocks requires prefix_caching")
+        if self.tier_fmt is not None:
+            if not self.tier_blocks:
+                raise ValueError("tier_fmt requires tier_blocks")
+            try:
+                resolve_kv_format(self.tier_fmt)
+            except KeyError as exc:
+                raise ValueError(f"unknown tier_fmt: {exc.args[0]}") from None
+
+
+class ServeEngine:
+    """Continuous-batching server around one model.
+
+    Parameters
+    ----------
+    model:
+        The language model (placed in eval mode).
+    config:
+        The engine's :class:`ServeConfig`.  Without one, the keyword
+        settings build it: ``ServeEngine(model, max_batch_size=4)`` is
+        ``ServeEngine(model, ServeConfig(max_batch_size=4))``; passing
+        both raises ``TypeError``.
     timer:
         Monotonic-seconds callable used to measure step durations
         (default :func:`time.perf_counter`); inject a fake for
         deterministic tests.
-    backend:
-        Execution backend: a :class:`~repro.nn.executor.ModelExecutor`
-        instance or registered name (``"reference"`` default,
-        ``"compiled"``).  Backends change tokens/sec only — never a
-        single served token.
     """
 
     def __init__(
         self,
         model: OPTLanguageModel,
-        max_batch_size: int = 8,
-        block_size: int = 16,
-        initial_blocks: int = 64,
-        prefix_caching: bool = False,
-        prefill_budget: int | None = None,
-        max_blocks: int | None = None,
-        decode_strategy: DecodeStrategy | str | None = None,
+        config: ServeConfig | None = None,
+        *,
         timer=None,
-        backend: str | None = None,
-        tier_blocks: int | None = None,
-        tier_ratio: float | None = None,
-        tier_fmt: str | None = None,
-        slo_aware: bool = False,
+        **knobs,
     ) -> None:
+        if config is None:
+            config = ServeConfig(**knobs)
+        elif knobs:
+            raise TypeError("give a ServeConfig or keyword settings, not both")
         model.eval()
         self.model = model
-        self.executor = resolve_executor(backend, model)
-        self.backend = self.executor.name
-        self.decode_strategy = resolve_strategy(decode_strategy)
-        self.prefix_caching = bool(prefix_caching)
-        if max_blocks is not None:
-            # A bound tighter than the default preallocation just means a
-            # smaller pool, not a configuration error.
-            initial_blocks = min(initial_blocks, max_blocks)
-        if tier_ratio is not None:
-            if tier_blocks is not None:
-                raise ValueError("give tier_blocks or tier_ratio, not both")
-            if not 0.0 <= tier_ratio <= 1.0:
-                raise ValueError(f"tier_ratio must be in [0, 1], got {tier_ratio}")
-            if max_blocks is None:
-                raise ValueError("tier_ratio requires max_blocks")
-            tier_blocks = round(max_blocks * float(tier_ratio))
+        self.config = config
+        self.executor = resolve_executor(config.backend, model)
+        initial_blocks = config.initial_blocks
+        if config.max_blocks is not None:
+            initial_blocks = min(initial_blocks, config.max_blocks)
         cost_model = None
-        if tier_blocks or slo_aware:
+        if config.tier_blocks or config.slo_aware:
             from repro.serve.costs import TierCostModel
 
-            cost_model = TierCostModel.for_model(model, tier_fmt=tier_fmt)
+            cost_model = TierCostModel.for_model(model, tier_fmt=config.tier_fmt)
         self.pool = BlockKVPool.for_model(
             model,
-            block_size=block_size,
+            block_size=config.block_size,
             initial_blocks=initial_blocks,
-            max_blocks=max_blocks,
-            prefix_caching=prefix_caching,
-            tier_blocks=tier_blocks,
-            tier_fmt=tier_fmt,
+            max_blocks=config.max_blocks,
+            prefix_caching=config.prefix_caching,
+            tier_blocks=config.tier_blocks,
+            tier_fmt=config.tier_fmt,
             tier_cost_model=cost_model,
         )
         self.scheduler = Scheduler(
             self.pool,
-            max_batch_size=max_batch_size,
-            prefill_budget=prefill_budget,
+            max_batch_size=config.max_batch_size,
+            prefill_budget=config.prefill_budget,
             max_position=model.config.max_position,
-            decode_strategy=self.decode_strategy,
-            cost_model=cost_model if slo_aware else None,
+            decode_strategy=config.decode_strategy,
+            cost_model=cost_model if config.slo_aware else None,
         )
         self.timer = timer or time.perf_counter
         self._recorder: MetricsRecorder | None = None
@@ -353,7 +393,7 @@ class ServeEngine:
             raise RuntimeError("call begin() before step_at()")
         scheduler = self.scheduler
         admitted = scheduler.admit(now)
-        if self.prefix_caching:
+        if self.config.prefix_caching:
             for state in admitted:
                 # Cap adoption below the full window: the final prompt
                 # position must be computed to produce the logits the
@@ -516,7 +556,7 @@ class ServeEngine:
             for row, (state, chunk, final, draft) in enumerate(ragged):
                 if id(state) in prefill_chunk:
                     state.prefill_pos += chunk.size
-                    if final and self.prefix_caching:
+                    if final and self.config.prefix_caching:
                         # The whole prompt window is committed and its
                         # blocks are now append-only: publish them.
                         state.kv.register_prefix(state.prompt_window)

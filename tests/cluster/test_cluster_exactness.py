@@ -15,7 +15,7 @@ from repro.cluster import ROUTING_POLICIES, ClusterRouter
 from repro.nn.config import get_config
 from repro.nn.generation import generate
 from repro.nn.model import OPTLanguageModel
-from repro.serve import Request, ServeEngine
+from repro.serve import Request, ServeConfig, ServeEngine
 from repro.serve.workload import generate_workload
 
 POLICIES = ("fp64-ref", "bf16-fp8kv")
@@ -63,16 +63,14 @@ class TestRoutingEquivalenceProperty:
             workload = generate_workload(
                 scenario, sessions=4, vocab_size=vocab, seed=seed
             )
-            engine_kwargs = dict(
-                max_batch_size=3, block_size=8, prefix_caching=True
-            )
-            single = ServeEngine(model, **engine_kwargs).serve(workload)
+            config = ServeConfig(max_batch_size=3, block_size=8, prefix_caching=True)
+            single = ServeEngine(model, config).serve(workload)
             expected = token_multiset(single.completed)
             assert len(expected) == len(workload)
             for replicas in (1, 2, 4):
                 for routing in ROUTING_POLICIES:
                     router = ClusterRouter(
-                        model, replicas=replicas, routing=routing, **engine_kwargs
+                        model, replicas=replicas, routing=routing, config=config
                     )
                     report = router.serve(workload)
                     assert token_multiset(report.completed) == expected, (
@@ -91,9 +89,7 @@ class TestRoutingEquivalenceProperty:
             model,
             replicas=2,
             routing="prefix-affinity",
-            max_batch_size=3,
-            block_size=8,
-            prefix_caching=True,
+            config=ServeConfig(max_batch_size=3, block_size=8, prefix_caching=True),
         )
         report = router.serve(workload)
         assert len(report.completed) == len(workload)
@@ -123,7 +119,9 @@ class TestClusterBehaviour:
                 return self.t
 
         single = ServeEngine(model, max_batch_size=2, timer=_Timer()).serve(requests)
-        router = ClusterRouter(model, replicas=1, max_batch_size=2, timer=_Timer())
+        router = ClusterRouter(
+            model, replicas=1, timer=_Timer(), config=ServeConfig(max_batch_size=2)
+        )
         clustered = router.serve(requests)
         assert token_multiset(clustered.completed) == token_multiset(single.completed)
         assert clustered.merged.metrics["makespan_s"] == pytest.approx(
@@ -135,8 +133,8 @@ class TestClusterBehaviour:
             "agent-fanout", sessions=3, vocab_size=model.config.vocab_size, seed=3
         )
         router = ClusterRouter(
-            model, replicas=4, routing="least-loaded",
-            max_batch_size=2, timer=fixed_timer,
+            model, replicas=4, routing="least-loaded", timer=fixed_timer,
+            config=ServeConfig(max_batch_size=2),
         )
         report = router.serve(workload)
         assert len(report.completed) == len(workload)
@@ -149,8 +147,8 @@ class TestClusterBehaviour:
             "chat-multiturn", sessions=3, vocab_size=model.config.vocab_size, seed=5
         )
         router = ClusterRouter(
-            model, replicas=2, routing="prefix-affinity",
-            max_batch_size=3, prefix_caching=True, block_size=8, timer=fixed_timer,
+            model, replicas=2, routing="prefix-affinity", timer=fixed_timer,
+            config=ServeConfig(max_batch_size=3, prefix_caching=True, block_size=8),
         )
         summary = router.serve(workload).summary()
         assert summary["replicas"] == 2
@@ -167,8 +165,8 @@ class TestClusterBehaviour:
             "chat-multiturn", sessions=4, vocab_size=model.config.vocab_size, seed=9
         )
         router = ClusterRouter(
-            model, replicas=2, routing="prefix-affinity",
-            max_batch_size=4, prefix_caching=True, block_size=8, timer=fixed_timer,
+            model, replicas=2, routing="prefix-affinity", timer=fixed_timer,
+            config=ServeConfig(max_batch_size=4, prefix_caching=True, block_size=8),
         )
         for engine in router.engines:
             engine.begin()

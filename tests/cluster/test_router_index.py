@@ -11,6 +11,7 @@ from repro.cluster.router import (
 )
 from repro.nn.config import get_config
 from repro.nn.model import OPTLanguageModel
+from repro.serve.engine import ServeConfig
 from repro.serve.kv_pool import PrefixIndex
 from repro.serve.request import Request
 from repro.serve.workload import generate_workload
@@ -133,11 +134,13 @@ class TestClusterEvictionMirroring:
             model,
             replicas=2,
             routing="prefix-affinity",
-            max_batch_size=2,
-            block_size=4,
-            prefix_caching=True,
-            max_blocks=12,
-            initial_blocks=12,
+            config=ServeConfig(
+                max_batch_size=2,
+                block_size=4,
+                prefix_caching=True,
+                max_blocks=12,
+                initial_blocks=12,
+            ),
         )
         report = tight.serve(workload)
         evictions = sum(e.pool.prefix_evictions for e in tight.engines)
@@ -148,9 +151,7 @@ class TestClusterEvictionMirroring:
             model,
             replicas=2,
             routing="prefix-affinity",
-            max_batch_size=2,
-            block_size=4,
-            prefix_caching=True,
+            config=ServeConfig(max_batch_size=2, block_size=4, prefix_caching=True),
         )
         roomy_report = roomy.serve(workload)
         for request in workload:
@@ -178,7 +179,7 @@ class TestWeightedRouting:
             replicas=2,
             routing="least-loaded",
             capacity_weights=(2.0, 1.0),
-            max_batch_size=4,
+            config=ServeConfig(max_batch_size=4),
         )
         # Replica 0 gets 8 decode slots, replica 1 gets 4.
         assert router.engines[0].scheduler.max_batch_size == 8
@@ -208,7 +209,7 @@ class TestWeightedRouting:
             replicas=2,
             routing="least-loaded",
             capacity_weights=(2.0, 1.0),
-            max_batch_size=2,
+            config=ServeConfig(max_batch_size=2),
         )
         summary = router.serve(workload).summary()
         assert summary["capacity_weights"] == [2.0, 1.0]

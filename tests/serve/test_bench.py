@@ -508,13 +508,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "knobs, match",
         [
-            (dict(tier_blocks=8, tier_ratio=0.5, prefix_caching=True), "not both"),
-            (dict(tier_blocks=-1, prefix_caching=True), "--tier-blocks"),
-            (dict(tier_ratio=1.5, prefix_caching=True, max_blocks=8), r"\[0, 1\]"),
-            (dict(tier_blocks=8), "--prefix-caching"),
-            (dict(tier_ratio=0.5, prefix_caching=True), "--max-blocks"),
-            (dict(tier_fmt="fp8_e4m3", prefix_caching=True), "--tier-fmt"),
-            (dict(tier_blocks=8, tier_fmt="int7", prefix_caching=True), "--tier-fmt"),
+            (dict(tier_blocks=-1, prefix_caching=True), "tier_blocks"),
+            (dict(tier_blocks=8), "prefix_caching"),
+            (dict(tier_fmt="fp8_e4m3", prefix_caching=True), "tier_fmt"),
+            (dict(tier_blocks=8, tier_fmt="int7", prefix_caching=True), "tier_fmt"),
         ],
     )
     def test_tier_rejections(self, knobs, match):
@@ -524,7 +521,6 @@ class TestValidation:
     def test_all_clear(self):
         validate({}, {})
         validate({}, dict(tier_blocks=8, prefix_caching=True))
-        validate({}, dict(tier_ratio=0.25, prefix_caching=True, max_blocks=16))
 
     def test_spec_knobs_without_strategy_rejected(self):
         with pytest.raises(ValueError, match="decode-strategy"):
@@ -542,10 +538,10 @@ class TestCLI:
         "argv, needle",
         [
             (["serve-bench", "--decode-strategy", "prompt-lookup", "--ngram", "0"], "--ngram"),
-            (["serve-bench", "--tier-blocks", "8"], "--prefix-caching"),
+            (["serve-bench", "--tier-blocks", "8"], "prefix_caching"),
             (["serve-bench", "--scenarios", "agent-forest"], "agent-forest"),
             (["serve-bench", "--repeats", "0"], "--repeats"),
-            (["serve-bench", "--prefill-budget", "0"], "--prefill-budget"),
+            (["serve-bench", "--prefill-budget", "0"], "prefill_budget"),
             (["serve-bench", "--copy-rate", "1.5"], "copy_rate"),
             (["serve-bench", "--priority-mix", "urgent"], "urgent"),
             (["serve-bench", "--scenarios", "steady", "--policies", "fp64-ref,fp12-mystery"], "fp12-mystery"),
@@ -553,8 +549,7 @@ class TestCLI:
             (["serve-bench", "--backend", "pipeline:2:gpu"], "driver"),
             (["serve-bench", "--backend", "pipeline:2+sharded:5"], "DET_ATOMS"),
             (["serve-bench", "--backend", "pipeline:99"], "decoder layers"),
-            (["cluster-bench", "--tier-ratio", "0.5"], "--max-blocks"),
-            (["shard-bench", "--prefix-caching", "--tier-blocks", "8", "--tier-fmt", "int7"], "--tier-fmt"),
+            (["shard-bench", "--prefix-caching", "--tier-blocks", "8", "--tier-fmt", "int7"], "tier_fmt"),
         ],
     )
     def test_flag_mistakes_are_usage_errors(self, tmp_path, argv, needle):

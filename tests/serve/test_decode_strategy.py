@@ -291,7 +291,7 @@ class TestSpeculativeExactness:
 class TestOneTokenDefault:
     def test_default_engine_uses_one_token(self):
         engine = ServeEngine(make_model())
-        assert isinstance(engine.decode_strategy, GreedyOneToken)
+        assert isinstance(engine.scheduler.decode_strategy, GreedyOneToken)
 
     def test_one_token_reproduces_classic_metrics_exactly(self, fixed_timer):
         """Explicit GreedyOneToken == default engine, step for step."""

@@ -283,8 +283,8 @@ class TestExecutorContract:
             resolve_executor("nonsense", model)
 
     def test_engine_reports_backend_name(self):
-        assert ServeEngine(make_model()).backend == "reference"
-        assert ServeEngine(make_model(), backend="compiled").backend == "compiled"
+        assert ServeEngine(make_model()).executor.name == "reference"
+        assert ServeEngine(make_model(), backend="compiled").executor.name == "compiled"
 
     def test_compiled_rejects_training_mode(self):
         model = make_model()

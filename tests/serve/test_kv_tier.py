@@ -372,15 +372,7 @@ class TestServedTokensStayExact:
 
 
 class TestEngineWiring:
-    def test_tier_ratio_sizes_the_tier_from_max_blocks(self, model):
-        engine = ServeEngine(
-            model, prefix_caching=True, max_blocks=32, tier_ratio=0.5
-        )
-        assert engine.pool.tier_blocks == 16
-
     def test_tier_flags_validated(self, model):
-        with pytest.raises(ValueError):
-            ServeEngine(model, prefix_caching=True, tier_ratio=0.5)
         with pytest.raises(ValueError):
             ServeEngine(model, tier_blocks=8)
 

@@ -321,3 +321,46 @@ class TestPreemption:
         self._admit_with_blocks(scheduler, "a", 1)
         self._admit_with_blocks(scheduler, "b", 1)
         assert scheduler.reserve(scheduler.plan()) == []
+
+
+class _PerTokenCost:
+    """Stub cost model: recompute time proportional to the token count."""
+
+    def __init__(self, us_per_token: float = 1.0) -> None:
+        self.us_per_token = us_per_token
+
+    def recompute_us(self, tokens: int) -> float:
+        return self.us_per_token * tokens
+
+
+class TestSloAwareVictim:
+    """With a cost model, the victim is priced by recompute time.
+
+    Each setup leaves two free blocks in an eight-block pool while three
+    decode rows each need a fresh block, so exactly one state is preempted.
+    """
+
+    _admit_with_blocks = TestPreemption._admit_with_blocks
+
+    def _victims(self, cost_model, admits):
+        scheduler = Scheduler(
+            make_pool(initial_blocks=8, max_blocks=8),
+            max_batch_size=3,
+            cost_model=cost_model,
+        )
+        for rid, blocks, priority in admits:
+            self._admit_with_blocks(scheduler, rid, blocks, priority=priority)
+        return [v.request.request_id for v in scheduler.reserve(scheduler.plan())]
+
+    def test_cheapest_in_lowest_class_not_newest(self):
+        admits = [("keeper", 2, 1), ("old-small", 1, 0), ("new-large", 3, 0)]
+        assert self._victims(None, admits) == ["new-large"]
+        assert self._victims(_PerTokenCost(), admits) == ["old-small"]
+
+    def test_higher_class_never_evicted_while_a_lower_one_stands(self):
+        admits = [("top", 2, 2), ("cheap-high", 1, 1), ("costly-low", 3, 0)]
+        assert self._victims(_PerTokenCost(), admits) == ["costly-low"]
+
+    def test_ties_fall_back_to_newest_first(self):
+        admits = [("keeper", 2, 1), ("old-small", 1, 0), ("new-large", 3, 0)]
+        assert self._victims(_PerTokenCost(0.0), admits) == ["new-large"]
